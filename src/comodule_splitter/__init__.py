@@ -76,12 +76,8 @@ from .reporting import (
     ValidationReport,
 )
 from .splitting import (
-    Retraction,
     SplittingCertificate,
     build_h,
-    choose_retraction,
-    phi,
-    phi_inverse,
     recheck_certificate,
     verify_theorem_on_corpus,
 )
@@ -110,7 +106,6 @@ __all__ = [
     "NotGrouplike",
     "ParseError",
     "PrimitivesReport",
-    "Retraction",
     "SearchSpaceTooLarge",
     "ShapeError",
     "SigmaTruncation",
@@ -126,7 +121,6 @@ __all__ = [
     "check_map_preserves_filtration",
     "check_pointed_exhaustive",
     "check_star_surjective",
-    "choose_retraction",
     "comodule_filtration",
     "comodule_primitives_at",
     "comodule_primitives_total",
@@ -143,8 +137,6 @@ __all__ = [
     "gen_sigma_truncation",
     "graded_left_primitives",
     "is_grouplike",
-    "phi",
-    "phi_inverse",
     "primitives_at",
     "recheck_certificate",
     "shipped_corpus",

@@ -46,6 +46,7 @@ from .comodule import (
 from .definitions import (
     _load_json,
     load_bundle,
+    load_certificate,
     load_coalgebra,
     load_comodule,
     load_map,
@@ -71,7 +72,7 @@ from .generators import (
     shipped_corpus,
 )
 from .reporting import CheckResult, ValidationReport
-from .splitting import SplittingCertificate, build_h, recheck_certificate, verify_theorem_on_corpus
+from .splitting import build_h, recheck_certificate, verify_theorem_on_corpus
 
 
 def _emit(obj) -> None:
@@ -247,7 +248,7 @@ def cmd_split(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    cert = SplittingCertificate.from_json_dict(_load_json(args.cert))
+    cert = load_certificate(args.cert)
     ma = _load_enriched(args.comodule)
     f = load_map(args.map)
     report = recheck_certificate(cert, ma, f)

@@ -20,12 +20,13 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
     CapExceeded,
     DeclaredNotGrouplike,
+    DecompositionFails,
     NotASubcoalgebra,
     NotGrouplike,
     SearchSpaceTooLarge,
@@ -36,6 +37,9 @@ from .field_linalg import (
     FieldMatrix,
     Subspace,
     Vector,
+    _add_mod,
+    _kernel_dense,
+    _kernel_packed,
     _pack,
     _unpack,
     kernel_from_sparse_cols,
@@ -65,11 +69,7 @@ def _normalize_triples(triples: Iterable[Sequence[int]], p: int, dim: int) -> Tr
     for j, k, coeff in triples:
         if not (0 <= j < dim and 0 <= k < dim):
             raise ShapeError(f"structure constant index out of range: ({j}, {k})")
-        c = (acc.get((j, k), 0) + coeff) % p
-        if c:
-            acc[(j, k)] = c
-        else:
-            acc.pop((j, k), None)
+        _add_mod(acc, (j, k), coeff, p)
     return tuple((j, k, c) for (j, k), c in sorted(acc.items()))
 
 
@@ -112,7 +112,13 @@ class Coalgebra:
 
     def delta_matrix(self) -> FieldMatrix:
         """The comultiplication as a dim^2 x dim matrix (column i = Delta e_i)."""
-        return _delta_matrix(self)
+        return self._delta_matrix
+
+    @cached_property
+    def _delta_matrix(self) -> FieldMatrix:
+        n = self.dim
+        cols = [{j * n + k: c for j, k, c in t} for t in self.delta]
+        return FieldMatrix.from_sparse_cols(self.p, n * n, cols)
 
     def delta_sparse(self) -> list[dict[tuple[int, int], int]]:
         return [{(j, k): c for j, k, c in t} for t in self.delta]
@@ -133,18 +139,6 @@ class Coalgebra:
             and self.delta == other.delta
             and self.counit == other.counit
         )
-
-
-@lru_cache(maxsize=64)
-def _delta_matrix(c: Coalgebra) -> FieldMatrix:
-    n = c.dim
-    cols = []
-    for i in range(n):
-        col = [0] * (n * n)
-        for j, k, coeff in c.delta[i]:
-            col[j * n + k] = (col[j * n + k] + coeff) % c.p
-        cols.append(col)
-    return FieldMatrix.from_cols(c.p, cols, nrows=n * n)
 
 
 @dataclass(frozen=True)
@@ -223,19 +217,9 @@ def validate_coalgebra(c: Coalgebra) -> ValidationReport:
         right: dict[tuple[int, int, int], int] = {}
         for (j, k), cf in sparse[i].items():
             for (a, b), cf2 in sparse[j].items():
-                key = (a, b, k)
-                v = (left.get(key, 0) + cf * cf2) % p
-                if v:
-                    left[key] = v
-                else:
-                    left.pop(key, None)
+                _add_mod(left, (a, b, k), cf * cf2, p)
             for (a, b), cf2 in sparse[k].items():
-                key = (j, a, b)
-                v = (right.get(key, 0) + cf * cf2) % p
-                if v:
-                    right[key] = v
-                else:
-                    right.pop(key, None)
+                _add_mod(right, (j, a, b), cf * cf2, p)
         if left != right:
             witness = c.labels[i]
             break
@@ -275,14 +259,12 @@ def is_grouplike(c: Coalgebra, v: Vector) -> bool:
         raise ShapeError("vector length does not match the coalgebra dimension")
     if sum(a * b for a, b in zip(c.counit, v)) % p != 1:
         return False
-    dv = c.delta_matrix().matvec(v)
-    for i in range(n):
-        vi = v[i]
-        base = i * n
-        for k in range(n):
-            if dv[base + k] != (vi * v[k]) % p:
-                return False
-    return True
+    support = [(i, vi) for i, vi in enumerate(v) if vi]
+    dv: dict[tuple[int, int], int] = {}
+    for i, vi in support:
+        for j, k, coeff in c.delta[i]:
+            _add_mod(dv, (j, k), vi * coeff, p)
+    return dv == {(i, k): vi * vk % p for i, vi in support for k, vk in support}
 
 
 def find_grouplikes(
@@ -423,12 +405,7 @@ def coradical_filtration_direct(
         col: dict[int, int] = {}
         for (j, k), cf in sparse[i].items():
             for t, qv in qcols[k].items():
-                idx = j * nq + t
-                v = (col.get(idx, 0) + cf * qv) % p
-                if v:
-                    col[idx] = v
-                else:
-                    col.pop(idx, None)
+                _add_mod(col, j * nq + t, cf * qv, p)
         u1cols.append(col)
 
     ucols = u1cols
@@ -444,12 +421,7 @@ def coradical_filtration_direct(
                 for idx, cv in col.items():
                     a, rest = divmod(idx, stride)
                     for pos, uv in u1cols[a].items():
-                        key = pos * stride + rest
-                        v = (out.get(key, 0) + cv * uv) % p
-                        if v:
-                            out[key] = v
-                        else:
-                            out.pop(key, None)
+                        _add_mod(out, pos * stride + rest, cv * uv, p)
                 nxt.append(out)
             ucols = nxt
         stride = nq**k
@@ -459,12 +431,7 @@ def coradical_filtration_direct(
             for idx, cv in col.items():
                 a, rest = divmod(idx, stride)
                 for t, qv in qcols[a].items():
-                    key = t * stride + rest
-                    v = (out.get(key, 0) + cv * qv) % p
-                    if v:
-                        out[key] = v
-                    else:
-                        out.pop(key, None)
+                    _add_mod(out, t * stride + rest, cv * qv, p)
             vcols.append(out)
         fk = kernel_from_sparse_cols(p, n, vcols)
         if fk == levels[-1]:
@@ -505,8 +472,6 @@ def primitives_at(c: Coalgebra, g: Vector) -> Subspace:
                 acc |= 1 << (s * n + i)
                 t &= t - 1
             cols.append(col ^ acc)
-        from .field_linalg import _kernel_packed
-
         return _kernel_packed(n, cols)
     cols = []
     for i in range(n):
@@ -516,8 +481,6 @@ def primitives_at(c: Coalgebra, g: Vector) -> Subspace:
         for s in range(n):
             col[s * n + i] = (col[s * n + i] - g[s]) % p
         cols.append(col)
-    from .field_linalg import _kernel_dense
-
     return _kernel_dense(p, n, cols)
 
 
@@ -527,8 +490,6 @@ def f1_decomposition(c: Coalgebra, g: GroupLikeSet) -> F1DecompositionReport:
     Raises DecompositionFails when the certificate does not hold, which
     indicates a non-pointed input (or a bug).
     """
-    from .errors import DecompositionFails
-
     filt = coradical_filtration_wedge(c, g, k_max=1)
     r = filt.level(0)
     f1 = filt.level(1)

@@ -25,7 +25,7 @@ the grouplikes stay grouplike inside M, and the action carries
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .coalgebra import (
@@ -46,6 +46,10 @@ from .field_linalg import (
     FieldMatrix,
     Subspace,
     Vector,
+    _add_mod,
+    _kernel_dense,
+    _kernel_packed,
+    _pack,
     image,
     kernel_from_sparse_cols,
     preimage,
@@ -69,11 +73,7 @@ def _normalize_psi(
     for a, k, coeff in triples:
         if not (0 <= a < first_dim and 0 <= k < second_dim):
             raise ShapeError(f"coaction index out of range: ({a}, {k})")
-        c = (acc.get((a, k), 0) + coeff) % p
-        if c:
-            acc[(a, k)] = c
-        else:
-            acc.pop((a, k), None)
+        _add_mod(acc, (a, k), coeff, p)
     return tuple((a, k, c) for (a, k), c in sorted(acc.items()))
 
 
@@ -104,7 +104,34 @@ class Comodule:
     def psi_matrix(self) -> FieldMatrix:
         """The coaction as a (dim * sigma_dim) x dim matrix; m_a (x) sigma_k
         sits at row a * sigma_dim + k."""
-        return _psi_matrix(self)
+        return self._psi_matrix
+
+    @cached_property
+    def _psi_matrix(self) -> FieldMatrix:
+        s = self.over.dim
+        cols = [{a * s + k: c for a, k, c in t} for t in self.psi]
+        return FieldMatrix.from_sparse_cols(self.p, self.dim * s, cols)
+
+    @cached_property
+    def _primitives(self) -> dict[tuple[int, ...], Subspace]:
+        """P_g(M) by grouplike, filled by comodule_primitives_at."""
+        return {}
+
+    def coaction_along(self, a: FieldMatrix) -> list[dict[int, int]]:
+        """(a (x) id_Sigma) . psi as sparse columns, without building a
+        Kronecker product: column i sums c * a(m_b) (x) sigma_k over the
+        triples (b, k, c) of psi(m_i), and e_r (x) sigma_k sits at row
+        r * sigma_dim + k."""
+        p, s = self.p, self.over.dim
+        acols = a.sparse_cols()
+        out = []
+        for triples in self.psi:
+            col: dict[int, int] = {}
+            for b, k, c in triples:
+                for r, x in acols[b].items():
+                    _add_mod(col, r * s + k, c * x, p)
+            out.append(col)
+        return out
 
     def psi_sparse(self) -> list[dict[tuple[int, int], int]]:
         return [{(a, k): c for a, k, c in t} for t in self.psi]
@@ -113,6 +140,20 @@ class Comodule:
     def regular(cls, sigma: Coalgebra) -> "Comodule":
         """The over-coalgebra as a right comodule over itself, psi = Delta."""
         return cls(sigma, sigma.dim, sigma.labels, sigma.delta)
+
+    @classmethod
+    def cofree(cls, sigma: Coalgebra, n: int) -> "Comodule":
+        """V (x) Sigma for an n-dimensional V, with coaction id_V (x) Delta:
+        v_u (x) sigma_k sits at index u * sigma_dim + k and maps to
+        sum c * (v_u (x) sigma_j) (x) sigma_l over Delta(sigma_k)."""
+        s = sigma.dim
+        psi = tuple(
+            tuple((u * s + j, l, c) for j, l, c in sigma.delta[k])
+            for u in range(n)
+            for k in range(s)
+        )
+        labels = tuple(f"{u}*{lab}" for u in range(n) for lab in sigma.labels)
+        return cls(sigma, n * s, labels, psi)
 
     @classmethod
     def trivial(cls, sigma: Coalgebra, unit_grouplike: Vector) -> "Comodule":
@@ -128,18 +169,6 @@ class Comodule:
             and self.dim == other.dim
             and self.psi == other.psi
         )
-
-
-@lru_cache(maxsize=128)
-def _psi_matrix(m: Comodule) -> FieldMatrix:
-    s = m.over.dim
-    cols = []
-    for i in range(m.dim):
-        col = [0] * (m.dim * s)
-        for a, k, coeff in m.psi[i]:
-            col[a * s + k] = coeff
-        cols.append(col)
-    return FieldMatrix.from_cols(m.p, cols, nrows=m.dim * s)
 
 
 @dataclass(frozen=True)
@@ -212,19 +241,9 @@ class LeftComodule:
             right: dict[tuple[int, int, int], int] = {}
             for (k, b), cf in sparse[j].items():
                 for (x, y), cf2 in dsp[k].items():
-                    key = (x, y, b)
-                    v = (left.get(key, 0) + cf * cf2) % p
-                    if v:
-                        left[key] = v
-                    else:
-                        left.pop(key, None)
+                    _add_mod(left, (x, y, b), cf * cf2, p)
                 for (k2, b2), cf2 in sparse[b].items():
-                    key = (k, k2, b2)
-                    v = (right.get(key, 0) + cf * cf2) % p
-                    if v:
-                        right[key] = v
-                    else:
-                        right.pop(key, None)
+                    _add_mod(right, (k, k2, b2), cf * cf2, p)
             if left != right:
                 witness = self.labels[j]
                 break
@@ -308,14 +327,25 @@ class ComoduleMap:
         if self.matrix.nrows != self.target.dim or self.matrix.ncols != self.source.dim:
             raise ShapeError("map matrix must be target_dim x source_dim")
 
-    def residual(self) -> FieldMatrix:
-        """psi_target . f - (f (x) id) . psi_source; zero iff f is a comodule map."""
-        s = self.source.over.dim
-        ident = FieldMatrix.identity(self.source.p, s)
-        return self.target.psi_matrix() @ self.matrix - self.matrix.kron(ident) @ self.source.psi_matrix()
+    def residual(self) -> list[dict[int, int]]:
+        """psi_target . f - (f (x) id) . psi_source as sparse columns, one per
+        source basis vector, with n_a (x) sigma_k at row a * sigma_dim + k.
+
+        Computed from the coaction triples and the columns of f; every
+        column is empty iff f is a comodule map.
+        """
+        p, s = self.source.p, self.source.over.dim
+        out = []
+        for col, fcol in zip(self.source.coaction_along(self.matrix), self.matrix.sparse_cols()):
+            res = {key: p - v for key, v in col.items()}
+            for r, x in fcol.items():
+                for a, k, c in self.target.psi[r]:
+                    _add_mod(res, a * s + k, x * c, p)
+            out.append(res)
+        return out
 
     def is_comodule_map(self) -> bool:
-        return self.residual().is_zero()
+        return not any(self.residual())
 
 
 # -- validators ------------------------------------------------------------------
@@ -344,19 +374,9 @@ def validate_comodule(m: Comodule) -> ValidationReport:
         right: dict[tuple[int, int, int], int] = {}
         for (a, k), cf in sparse[i].items():
             for (b, l), cf2 in sparse[a].items():
-                key = (b, l, k)
-                v = (left.get(key, 0) + cf * cf2) % p
-                if v:
-                    left[key] = v
-                else:
-                    left.pop(key, None)
+                _add_mod(left, (b, l, k), cf * cf2, p)
             for (j, k2), cf2 in dsp[k].items():
-                key = (a, j, k2)
-                v = (right.get(key, 0) + cf * cf2) % p
-                if v:
-                    right[key] = v
-                else:
-                    right.pop(key, None)
+                _add_mod(right, (a, j, k2), cf * cf2, p)
         if left != right:
             witness = m.labels[i]
             break
@@ -535,23 +555,13 @@ def validate_comodule_algebra(ma: ComoduleAlgebra) -> ValidationReport:
                     lhs: dict[tuple[int, int], int] = {}
                     for k, coeff in ma.product[i][j]:
                         for (a, t), cf in sparse[k].items():
-                            key = (a, t)
-                            v = (lhs.get(key, 0) + coeff * cf) % p
-                            if v:
-                                lhs[key] = v
-                            else:
-                                lhs.pop(key, None)
+                            _add_mod(lhs, (a, t), coeff * cf, p)
                     rhs: dict[tuple[int, int], int] = {}
                     for (a, t), cf in sparse[i].items():
                         for (b, u), cf2 in sparse[j].items():
                             for mm, cm in ma.product[a][b]:
                                 for ss, cs in sprod[t][u]:
-                                    key = (mm, ss)
-                                    v = (rhs.get(key, 0) + cf * cf2 * cm * cs) % p
-                                    if v:
-                                        rhs[key] = v
-                                    else:
-                                        rhs.pop(key, None)
+                                    _add_mod(rhs, (mm, ss), cf * cf2 * cm * cs, p)
                     if lhs != rhs:
                         witness = f"({ma.base.labels[i]}, {ma.base.labels[j]})"
                         break
@@ -581,29 +591,31 @@ def comodule_filtration(m: Comodule, f: Filtration) -> Filtration:
 
 
 def comodule_primitives_at(m: Comodule, g: Vector) -> Subspace:
-    """P_g(M) = kernel of v -> psi(v) - v (x) g."""
+    """P_g(M) = kernel of v -> psi(v) - v (x) g, computed once per grouplike
+    and comodule."""
+    p = m.p
+    gv = tuple(x % p for x in g)
+    known = m._primitives.get(gv)
+    if known is not None:
+        return known
     if not is_grouplike(m.over, g):
         raise NotGrouplike(f"{list(g)} is not grouplike")
-    p = m.p
     s = m.over.dim
-    gv = tuple(x % p for x in g)
     psi = m.psi_matrix()
     if p == 2:
-        from .field_linalg import _kernel_packed, _pack
-
         gp = _pack(gv)
         pcols = psi.packed_cols()
-        cols = [pcols[i] ^ (gp << (i * s)) for i in range(m.dim)]
-        return _kernel_packed(m.dim, cols)
-    from .field_linalg import _kernel_dense
-
-    cols = []
-    for i in range(m.dim):
-        col = list(psi.col(i))
-        for k in range(s):
-            col[i * s + k] = (col[i * s + k] - gv[k]) % p
-        cols.append(col)
-    return _kernel_dense(p, m.dim, cols)
+        pg = _kernel_packed(m.dim, [pcols[i] ^ (gp << (i * s)) for i in range(m.dim)])
+    else:
+        cols = []
+        for i in range(m.dim):
+            col = list(psi.col(i))
+            for k in range(s):
+                col[i * s + k] = (col[i * s + k] - gv[k]) % p
+            cols.append(col)
+        pg = _kernel_dense(p, m.dim, cols)
+    m._primitives[gv] = pg
+    return pg
 
 
 def comodule_primitives_total(
@@ -656,19 +668,9 @@ def cotensor(m: Comodule, n: LeftComodule) -> Subspace:
         for j in range(nn):
             col: dict[int, int] = {}
             for (a, k), cf in left_sparse[i].items():
-                idx = (a * s + k) * nn + j
-                v = (col.get(idx, 0) + cf) % p
-                if v:
-                    col[idx] = v
-                else:
-                    col.pop(idx, None)
+                _add_mod(col, (a * s + k) * nn + j, cf, p)
             for (k, b), cf in right_sparse[j].items():
-                idx = (i * s + k) * nn + b
-                v = (col.get(idx, 0) - cf) % p
-                if v:
-                    col[idx] = v
-                else:
-                    col.pop(idx, None)
+                _add_mod(col, (i * s + k) * nn + b, -cf, p)
             cols.append(col)
     return kernel_from_sparse_cols(p, m.dim * nn, cols)
 
@@ -736,7 +738,7 @@ def check_star_surjective(
     sigma = ma.sigma
     if not f.source.same_structure(ma.base):
         raise StructureMismatch("map source is not the comodule algebra's underlying comodule")
-    if not f.target.same_structure(Comodule.regular(sigma)):
+    if not (f.target.over.core_equal(sigma) and f.target.psi == sigma.delta):
         raise StructureMismatch("map target must be the over-coalgebra as a comodule")
     if not f.is_comodule_map():
         raise NotAComoduleMap("the matrix does not commute with the coactions")

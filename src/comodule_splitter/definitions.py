@@ -10,6 +10,10 @@ Three document kinds, all integer-exact:
   commands need
 * map: {"source": path, "target": path, "matrix": [[...]]}
 
+Certificates written by ``split`` are read back here too, with the same
+typed checks.  JSON booleans are never accepted where an integer is due,
+even though Python counts bool as a subclass of int.
+
 Paths inside documents resolve relative to the document that mentions them.
 Loaders raise ParseError for anything structurally wrong; mathematical
 problems (a declared grouplike that is not one, say) surface later through
@@ -27,8 +31,10 @@ import os
 from .coalgebra import Coalgebra, GroupLikeSet, find_grouplikes
 from .comodule import Comodule, ComoduleAlgebra, ComoduleMap
 from .errors import ParseError
-from .field_linalg import FieldMatrix
+from .field_linalg import FieldMatrix, Subspace
 from .generators import ExampleBundle
+from .reporting import StarLevelResult, StarReport
+from .splitting import SplittingCertificate
 
 
 def _load_json(path: str) -> dict:
@@ -67,6 +73,18 @@ def _require(doc: dict, key: str, path: str):
     return doc[key]
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _typed(doc: dict, key: str, kind: type, path: str):
+    """doc[key], which must be present and of the given JSON kind."""
+    val = _require(doc, key, path)
+    if not (_is_int(val) if kind is int else isinstance(val, kind)):
+        raise ParseError(f"{path}: {key!r} must be of type {kind.__name__}")
+    return val
+
+
 def _label_index(labels: list[str], path: str) -> dict[str, int]:
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise ParseError(f"{path}: basis must be a list of strings")
@@ -80,7 +98,7 @@ def _triples_from(entries, index_a: dict, index_b: dict, path: str, what: str):
     if not isinstance(entries, list):
         raise ParseError(f"{path}: {what} entries must be lists")
     for entry in entries:
-        if not (isinstance(entry, list) and len(entry) == 3 and isinstance(entry[2], int)):
+        if not (isinstance(entry, list) and len(entry) == 3 and _is_int(entry[2])):
             raise ParseError(f"{path}: bad {what} entry {entry!r}")
         a, b, coeff = entry
         if a not in index_a or b not in index_b:
@@ -90,7 +108,7 @@ def _triples_from(entries, index_a: dict, index_b: dict, path: str, what: str):
 
 
 def _int_vector(raw, dim: int, path: str, what: str) -> tuple[int, ...]:
-    if not (isinstance(raw, list) and len(raw) == dim and all(isinstance(x, int) for x in raw)):
+    if not (isinstance(raw, list) and len(raw) == dim and all(_is_int(x) for x in raw)):
         raise ParseError(f"{path}: {what} must be a list of {dim} integers")
     return tuple(raw)
 
@@ -99,7 +117,7 @@ def _int_matrix(raw, p: int, nrows: int, ncols: int, path: str, what: str) -> Fi
     if not (isinstance(raw, list) and len(raw) == nrows):
         raise ParseError(f"{path}: {what} must have {nrows} rows")
     for row in raw:
-        if not (isinstance(row, list) and len(row) == ncols and all(isinstance(x, int) for x in row)):
+        if not (isinstance(row, list) and len(row) == ncols and all(_is_int(x) for x in row)):
             raise ParseError(f"{path}: {what} rows must be lists of {ncols} integers")
     return FieldMatrix(p, raw, ncols=ncols)
 
@@ -107,7 +125,7 @@ def _int_matrix(raw, p: int, nrows: int, ncols: int, path: str, what: str) -> Fi
 def load_coalgebra(path: str) -> Coalgebra:
     doc = _load_json(path)
     p = _require(doc, "p", path)
-    if not isinstance(p, int) or not _is_prime(p):
+    if not _is_int(p) or not _is_prime(p):
         raise ParseError(f"{path}: p must be a prime integer")
     labels = _require(doc, "basis", path)
     index = _label_index(labels, path)
@@ -125,7 +143,7 @@ def load_coalgebra(path: str) -> Coalgebra:
     if not isinstance(counit_doc, dict):
         raise ParseError(f"{path}: counit must be an object keyed by basis label")
     for key, val in counit_doc.items():
-        if key not in index or not isinstance(val, int):
+        if key not in index or not _is_int(val):
             raise ParseError(f"{path}: bad counit entry {key!r}")
     counit = tuple(counit_doc.get(lab, 0) for lab in labels)
     grouplikes = None
@@ -235,6 +253,49 @@ def load_map(path: str) -> ComoduleMap:
 
 def map_to_doc(f: ComoduleMap, source_ref: str, target_ref: str) -> dict:
     return {"source": source_ref, "target": target_ref, "matrix": f.matrix.rows_as_lists()}
+
+
+def load_certificate(path: str) -> SplittingCertificate:
+    """Read a certificate file.  Only its form is checked here; whether its
+    claims hold is for recheck_certificate to decide."""
+    doc = _load_json(path)
+    p = _typed(doc, "p", int, path)
+    if not _is_prime(p):
+        raise ParseError(f"{path}: p must be a prime integer")
+    dim_m = _typed(doc, "dim_m", int, path)
+    ambient = _typed(doc, "p1_ambient_dim", int, path)
+    rows = _typed(doc, "h", list, path)
+    basis = [_int_vector(v, ambient, path, "p1_basis vector") for v in _typed(doc, "p1_basis", list, path)]
+    star = _typed(doc, "star_report", dict, path)
+    levels = _typed(star, "levels", list, path)
+    if not all(isinstance(lv, dict) for lv in levels):
+        raise ParseError(f"{path}: star_report levels must be objects")
+    equivariance_ok = star.get("equivariance_ok")
+    if equivariance_ok is not None:
+        equivariance_ok = _typed(star, "equivariance_ok", bool, path)
+    return SplittingCertificate(
+        h_matrix=_int_matrix(rows, p, len(rows), dim_m, path, "h"),
+        p1_basis=Subspace.from_vectors(p, ambient, basis),
+        rank=_typed(doc, "rank", int, path),
+        comodule_residual_zero=_typed(doc, "comodule_residual_zero", bool, path),
+        star_report=StarReport(
+            rank=_typed(star, "rank", int, path),
+            target_dim=_typed(star, "target_dim", int, path),
+            surjective=_typed(star, "surjective", bool, path),
+            unit_ok=_typed(star, "unit_ok", bool, path),
+            equivariance_ok=equivariance_ok,
+            strict=_typed(star, "strict", bool, path),
+            levels=tuple(
+                StarLevelResult(
+                    level=_typed(lv, "level", int, path),
+                    ok=_typed(lv, "ok", bool, path),
+                    source_dim=_typed(lv, "source_dim", int, path),
+                    target_dim=_typed(lv, "target_dim", int, path),
+                )
+                for lv in levels
+            ),
+        ),
+    )
 
 
 # -- bundles ---------------------------------------------------------------------------

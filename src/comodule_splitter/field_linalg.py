@@ -43,6 +43,15 @@ def _tuple_mod(vec: Vector, p: int) -> tuple[int, ...]:
     return tuple(x % p for x in vec)
 
 
+def _add_mod(acc: dict, key, value: int, p: int) -> None:
+    """acc[key] += value mod p, dropping the key when the sum is zero."""
+    v = (acc.get(key, 0) + value) % p
+    if v:
+        acc[key] = v
+    else:
+        acc.pop(key, None)
+
+
 def _first_nonzero(row: Sequence[int]) -> int | None:
     for j, x in enumerate(row):
         if x:
@@ -158,6 +167,24 @@ class FieldMatrix:
         rows = [[c[i] for c in cols] for i in range(nrows)]
         return cls(p, rows, ncols=len(cols))
 
+    @classmethod
+    def from_sparse_cols(cls, p: int, nrows: int, cols: Sequence[dict[int, int]]) -> "FieldMatrix":
+        """The nrows x len(cols) matrix whose column j has entry c at row r
+        for each r -> c in cols[j]."""
+        if p == 2:
+            rows = [0] * nrows
+            for j, col in enumerate(cols):
+                bit = 1 << j
+                for r, c in col.items():
+                    if c % 2:
+                        rows[r] ^= bit
+            return cls._raw(2, nrows, len(cols), tuple(rows))
+        dense = [[0] * len(cols) for _ in range(nrows)]
+        for j, col in enumerate(cols):
+            for r, c in col.items():
+                dense[r][j] = (dense[r][j] + c) % p
+        return cls._raw(p, nrows, len(cols), tuple(tuple(r) for r in dense))
+
     # -- accessors ---------------------------------------------------------
 
     def row(self, i: int) -> tuple[int, ...]:
@@ -195,6 +222,21 @@ class FieldMatrix:
                 j = (t & -t).bit_length() - 1
                 cols[j] |= 1 << i
                 t &= t - 1
+        return cols
+
+    def sparse_cols(self) -> list[dict[int, int]]:
+        """Columns as dicts row -> nonzero entry."""
+        cols: list[dict[int, int]] = [{} for _ in range(self.ncols)]
+        if self.p == 2:
+            for i, r in enumerate(self._rows):
+                while r:
+                    cols[(r & -r).bit_length() - 1][i] = 1
+                    r &= r - 1
+            return cols
+        for i, r in enumerate(self._rows):
+            for j, x in enumerate(r):
+                if x:
+                    cols[j][i] = x
         return cols
 
     def is_zero(self) -> bool:
@@ -453,11 +495,7 @@ def kernel_from_sparse_cols(p: int, ncols: int, cols: list[dict[int, int]]) -> "
     def sub_scaled(x: dict[int, int], y: dict[int, int], f: int) -> dict[int, int]:
         out = dict(x)
         for k, v in y.items():
-            nv = (out.get(k, 0) - f * v) % p
-            if nv:
-                out[k] = nv
-            else:
-                out.pop(k, None)
+            _add_mod(out, k, -f * v, p)
         return out
 
     for j, col in enumerate(cols):
@@ -751,33 +789,6 @@ class Subspace:
                     acc[pv] = (-c) % p
             rows.append(tuple(acc))
         return FieldMatrix._raw(p, len(nps), n, tuple(rows))
-
-
-# -- spec-level operation names ---------------------------------------------
-
-
-def rref(m: FieldMatrix) -> FieldMatrix:
-    return m.rref()
-
-
-def kernel(m: FieldMatrix) -> Subspace:
-    return m.kernel()
-
-
-def kron(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
-    return a.kron(b)
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    return a.add(b)
-
-
-def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    return a.intersect(b)
-
-
-def member(v: Vector, s: Subspace) -> bool:
-    return s.contains(v)
 
 
 def preimage(m: FieldMatrix, s: Subspace) -> Subspace:

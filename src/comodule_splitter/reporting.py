@@ -103,26 +103,6 @@ class StarReport:
             "levels": [l.to_json_dict() for l in self.levels],
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "StarReport":
-        return cls(
-            rank=int(d["rank"]),
-            target_dim=int(d["target_dim"]),
-            surjective=bool(d["surjective"]),
-            unit_ok=bool(d["unit_ok"]),
-            equivariance_ok=(None if d.get("equivariance_ok") is None else bool(d["equivariance_ok"])),
-            strict=bool(d.get("strict", False)),
-            levels=tuple(
-                StarLevelResult(
-                    level=int(l["level"]),
-                    ok=bool(l["ok"]),
-                    source_dim=int(l["source_dim"]),
-                    target_dim=int(l["target_dim"]),
-                )
-                for l in d.get("levels", [])
-            ),
-        )
-
 
 @dataclass(frozen=True)
 class F1DecompositionReport:

@@ -6,10 +6,19 @@ The pipeline mirrors the constructive proof it implements:
   M ----> M(x)Sigma ----> P(M)(x)Sigma ----> k[G](x)P_1(M)(x)Sigma ----> P_1(M)(x)Sigma
 
 with phi: k[G] (x) P_1(M) -> P(M), g (x) v -> g.v, and r a linear retraction
-of M onto P(M).  Instead of replaying the filtration induction that proves h
-bijective, the engine certifies the outcome directly: the rank of the
-assembled matrix must equal dim M = dim P_1(M) * dim Sigma, and the comodule
-residual (id (x) Delta) h - (h (x) id) psi must vanish identically.
+of M onto P(M).  A run computes each layer once, in order: the star report,
+the unit grouplike w and P_1(M) = P_w(M), one inversion per action, P(M) as
+the sum of the P_g(M), the phi solve on that P(M), the retraction onto the
+same P(M), and finally h = (t (x) id) psi with t = (eps (x) id) phi^{-1} r.
+build_h runs all of them; recheck_certificate runs the layers up to P_1(M)
+and takes h from the certificate.
+
+Instead of replaying the filtration induction that proves h bijective, the
+engine certifies the outcome directly: the rank of h must equal
+dim M = dim P_1(M) * dim Sigma, and h must be a comodule map into the
+cofree comodule P_1(M) (x) Sigma, that is, the residual
+(id (x) Delta) h - (h (x) id) psi must vanish.  A nonzero residual is
+reported by the basis label of the first column of M where it shows.
 
 The retraction is pinned down deterministically (extend the echelon basis of
 P(M) by standard basis vectors, lowest index first), so rebuilding from the
@@ -23,6 +32,7 @@ from typing import Iterable
 
 from .coalgebra import Filtration, coradical_filtration_wedge
 from .comodule import (
+    Comodule,
     ComoduleAlgebra,
     ComoduleMap,
     check_star_surjective,
@@ -35,7 +45,6 @@ from .errors import (
     DimensionMismatch,
     HypothesisNotMet,
     ShapeError,
-    StructureMismatch,
 )
 from .field_linalg import FieldMatrix, Subspace
 from .reporting import (
@@ -47,21 +56,11 @@ from .reporting import (
 )
 
 
-@dataclass(frozen=True)
-class Retraction:
-    """A left inverse of the inclusion of a subspace, in echelon coordinates."""
-
-    r_matrix: FieldMatrix
-
-    @property
-    def dim_image(self) -> int:
-        return self.r_matrix.nrows
-
-
-def retraction_onto(s: Subspace) -> Retraction:
-    """The deterministic retraction onto s: extend the echelon basis of s by
-    standard basis vectors (lowest index first) to a basis of the ambient
-    space, invert, and keep the rows indexing s."""
+def retraction_onto(s: Subspace) -> FieldMatrix:
+    """The deterministic retraction onto s, as a dim s x ambient matrix into
+    echelon coordinates of s: extend the echelon basis of s by standard
+    basis vectors (lowest index first) to a basis of the ambient space,
+    invert, and keep the rows indexing s."""
     p, n, d = s.p, s.ambient_dim, s.dim
     cols = list(s.basis_vectors())
     span = s
@@ -74,57 +73,32 @@ def retraction_onto(s: Subspace) -> Retraction:
             span = span.add(Subspace.from_vectors(p, n, [e_i]))
     q = FieldMatrix.from_cols(p, cols, nrows=n)
     q_inv = q.inverse()
-    return Retraction(FieldMatrix(p, q_inv.rows_as_lists()[:d], ncols=n))
+    return FieldMatrix(p, q_inv.rows_as_lists()[:d], ncols=n)
 
 
-def choose_retraction(ma: ComoduleAlgebra) -> Retraction:
-    """The deterministic retraction of M onto its total primitives P(M)."""
-    total, _ = comodule_primitives_total(ma.base, ma.grouplikes)
-    return retraction_onto(total)
+def _p1(ma: ComoduleAlgebra) -> Subspace:
+    """P_1(M) = P_w(M) for the unit grouplike w; the star check has already
+    refused a unit that is not coinvariant."""
+    return comodule_primitives_at(ma.base, ma.grouplikes.vectors[ma.unit_grouplike_index()])
 
 
-def _unit_primitives(ma: ComoduleAlgebra) -> tuple[Subspace, tuple[int, ...]]:
-    w_idx = ma.unit_grouplike_index()
-    if w_idx is None:
-        raise StructureMismatch("the unit is not coinvariant along any known grouplike")
-    w = ma.grouplikes.vectors[w_idx]
-    return comodule_primitives_at(ma.base, w), w
-
-
-def phi(ma: ComoduleAlgebra) -> FieldMatrix:
-    """The matrix of k[G] (x) P_1(M) -> M, g (x) v -> g.v; column order is
-    grouplike-major over the echelon basis of P_1(M)."""
-    p1, _ = _unit_primitives(ma)
-    basis = p1.basis_vectors()
-    cols = []
-    for idx in range(len(ma.grouplikes)):
-        a = ma.action[idx]
-        for b in basis:
-            cols.append(a.matvec(b))
-    return FieldMatrix.from_cols(ma.p, cols, nrows=ma.dim)
-
-
-def phi_inverse(ma: ComoduleAlgebra) -> FieldMatrix:
-    """The inverse of phi on P(M), as a matrix from echelon coordinates of
-    P(M) to k[G] (x) P_1(M) coordinates.
+def _phi_inverse(ma: ComoduleAlgebra, p1: Subspace, total: Subspace) -> FieldMatrix:
+    """The inverse of phi on P(M) = total, as a matrix from echelon
+    coordinates of P(M) to k[G] (x) P_1(M) coordinates, grouplike-major over
+    the echelon basis of P_1(M).
 
     Solving phi . x = v for each echelon basis vector v of P(M) is the same
     computation as splitting v into its g-primitive components and applying
     the inverse action grouplike by grouplike, because the phi columns are
     exactly the bases A_g(P_1) of those components.
     """
-    for idx, a in enumerate(ma.action):
-        try:
-            a.inverse()
-        except ShapeError:
-            raise ActionNotInvertible(f"action of grouplike {idx} is singular") from None
-    p1, _ = _unit_primitives(ma)
-    total, _ = comodule_primitives_total(ma.base, ma.grouplikes)
-    ph = phi(ma)
+    basis = p1.basis_vectors()
+    ph = FieldMatrix.from_cols(ma.p, [a.matvec(b) for a in ma.action for b in basis], nrows=ma.dim)
     expected = len(ma.grouplikes) * p1.dim
-    if ph.rank() != expected or total.dim != expected:
+    rank = ph.rank()
+    if rank != expected or total.dim != expected:
         raise DecompositionFails(
-            f"k[G] (x) P_1 has dim {expected} but phi has rank {ph.rank()}"
+            f"k[G] (x) P_1 has dim {expected} but phi has rank {rank}"
             f" onto P(M) of dim {total.dim}"
         )
     inclusion = FieldMatrix.from_cols(ma.p, list(total.basis_vectors()), nrows=ma.dim)
@@ -165,46 +139,43 @@ class SplittingCertificate:
             "star_report": self.star_report.to_json_dict(),
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SplittingCertificate":
-        p = int(d["p"])
-        h = FieldMatrix(p, d["h"], ncols=int(d["dim_m"]))
-        basis = Subspace.from_vectors(p, int(d["p1_ambient_dim"]), d["p1_basis"])
-        return cls(
-            h_matrix=h,
-            p1_basis=basis,
-            rank=int(d["rank"]),
-            comodule_residual_zero=bool(d["comodule_residual_zero"]),
-            star_report=StarReport.from_json_dict(d["star_report"]),
-        )
-
 
 def _assemble_h(ma: ComoduleAlgebra, p1: Subspace) -> FieldMatrix:
+    """The layers after P_1(M), each once: invert every action, sum the
+    P_g(M) into P(M), solve phi on that P(M), retract onto the same P(M),
+    and apply (t (x) id) psi."""
     p = ma.p
     d1 = p1.dim
     if d1 == 0:
         return FieldMatrix.zeros(p, 0, ma.dim)
+    for idx, a in enumerate(ma.action):
+        try:
+            a.inverse()
+        except ShapeError:
+            raise ActionNotInvertible(f"action of grouplike {idx} is singular") from None
     n_g = len(ma.grouplikes)
-    ph_inv = phi_inverse(ma)
-    ret = choose_retraction(ma)
+    total, _ = comodule_primitives_total(ma.base, ma.grouplikes)
+    ph_inv = _phi_inverse(ma, p1, total)
     # eps (x) id collapses the group coordinate: every grouplike has counit 1.
     eps_collapse = FieldMatrix(
         p,
         [[1 if c % d1 == r else 0 for c in range(n_g * d1)] for r in range(d1)],
     )
-    t = eps_collapse @ ph_inv @ ret.r_matrix
-    ident_s = FieldMatrix.identity(p, ma.sigma.dim)
-    return t.kron(ident_s) @ ma.base.psi_matrix()
+    t = eps_collapse @ ph_inv @ retraction_onto(total)
+    return FieldMatrix.from_sparse_cols(p, d1 * ma.sigma.dim, ma.base.coaction_along(t))
 
 
-def comodule_residual(ma: ComoduleAlgebra, h: FieldMatrix, d1: int) -> FieldMatrix:
-    """(id_{P_1} (x) Delta) h - (h (x) id_Sigma) psi; zero iff h is a map of
-    comodules into the extended comodule P_1(M) (x) Sigma."""
-    p = ma.p
-    s = ma.sigma.dim
-    lhs = FieldMatrix.identity(p, d1).kron(ma.sigma.delta_matrix()) @ h
-    rhs = h.kron(FieldMatrix.identity(p, s)) @ ma.base.psi_matrix()
-    return lhs - rhs
+def _residual_witness(ma: ComoduleAlgebra, h: FieldMatrix, d1: int) -> str | None:
+    """A witness naming the basis label of M at the first nonzero column of
+    (id_{P_1} (x) Delta) h - (h (x) id_Sigma) psi, or None when h is a map of
+    comodules into the cofree comodule P_1(M) (x) Sigma."""
+    if d1 == 0:
+        return None
+    residual = ComoduleMap(ma.base, Comodule.cofree(ma.sigma, d1), h).residual()
+    for i, col in enumerate(residual):
+        if col:
+            return f"first nonzero residual column {ma.base.labels[i]}"
+    return None
 
 
 def build_h(
@@ -228,18 +199,17 @@ def build_h(
     star = check_star_surjective(ma, f, strict=strict, sigma_filt=sigma_filt)
     if not star.ok and not force:
         raise HypothesisNotMet(star)
-    p1, _ = _unit_primitives(ma)
+    p1 = _p1(ma)
     if star.ok and p1.dim * ma.sigma.dim != ma.dim:
         raise DimensionMismatch(
             f"dim M = {ma.dim} but dim P_1(M) * dim Sigma = {p1.dim * ma.sigma.dim}"
         )
     h = _assemble_h(ma, p1)
-    residual_zero = comodule_residual(ma, h, p1.dim).is_zero()
     return SplittingCertificate(
         h_matrix=h,
         p1_basis=p1,
         rank=h.rank(),
-        comodule_residual_zero=residual_zero,
+        comodule_residual_zero=_residual_witness(ma, h, p1.dim) is None,
         star_report=star,
     )
 
@@ -261,7 +231,7 @@ def recheck_certificate(
     star = check_star_surjective(ma, f, strict=cert.star_report.strict, sigma_filt=sigma_filt)
     checks.append(CheckResult("hypothesis_star_surjective", star.ok, star.first_failure()))
 
-    p1, _ = _unit_primitives(ma)
+    p1 = _p1(ma)
     checks.append(
         CheckResult(
             "p1_basis_matches",
@@ -282,11 +252,9 @@ def recheck_certificate(
     )
     checks.append(CheckResult("stored_rank_matches", rank == cert.rank))
 
-    if shape_ok:
-        residual_zero = comodule_residual(ma, cert.h_matrix, p1.dim).is_zero()
-    else:
-        residual_zero = False
-    checks.append(CheckResult("comodule_residual_zero", residual_zero))
+    witness = _residual_witness(ma, cert.h_matrix, p1.dim) if shape_ok else None
+    residual_zero = shape_ok and witness is None
+    checks.append(CheckResult("comodule_residual_zero", residual_zero, witness))
     checks.append(
         CheckResult("stored_residual_flag_matches", residual_zero == cert.comodule_residual_zero)
     )

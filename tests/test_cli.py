@@ -264,6 +264,45 @@ def test_certify_rejects_a_tampered_certificate(capsys, corpus_dir, tmp_path):
     assert json.loads(out)["ok"] is False
 
 
+def test_certify_refuses_mistyped_certificates_with_exit_2(capsys, corpus_dir, tmp_path):
+    """Certificates go through the typed loaders: a float or bool entry in h
+    and a missing key are parse errors, not accepted values or tracebacks."""
+    files = _bundle_files(corpus_dir, "binomial_2_4_id")
+    cert = str(tmp_path / "cert.json")
+    assert _run(capsys, "split", files["comodule"], files["map"], "--out", cert)[0] == 0
+    with open(cert, encoding="utf-8") as fh:
+        honest = json.load(fh)
+
+    def float_h(doc):
+        doc["h"][0][0] = 1.0
+
+    def bool_h(doc):
+        doc["h"][0][0] = True
+
+    def no_rank(doc):
+        del doc["rank"]
+
+    for corrupt in (float_h, bool_h, no_rank):
+        doc = json.loads(json.dumps(honest))
+        corrupt(doc)
+        bad = tmp_path / f"{corrupt.__name__}.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = _run(capsys, "certify", str(bad), files["comodule"], files["map"])
+        assert code == 2, corrupt.__name__
+        assert out == ""
+        assert err.startswith("error: ParseError"), err
+
+
+def test_definition_files_refuse_bool_coefficients(capsys, tmp_path):
+    path = tmp_path / "bool.json"
+    path.write_text(
+        json.dumps({"p": 2, "basis": ["e"], "delta": {"e": [["e", "e", True]]}, "counit": {"e": 1}})
+    )
+    code, _, err = _run(capsys, "validate", str(path))
+    assert code == 2
+    assert "ParseError" in err
+
+
 def test_split_refuses_the_control_with_exit_4(capsys, corpus_dir, tmp_path):
     files = _bundle_files(corpus_dir, "control_zero_map")
     out_path = str(tmp_path / "cert.json")

@@ -1,4 +1,4 @@
-"""Tests for the splitting pipeline: retraction, phi and its inverse, h
+"""Tests for the splitting pipeline: retraction, the inverse of phi, h
 assembly, certificates, re-checking, and the corpus driver.
 
 The residual oracle here recomputes "h is a comodule map" from the raw
@@ -21,16 +21,17 @@ from comodule_splitter import (
     DimensionMismatch,
     FieldMatrix,
     HypothesisNotMet,
-    SplittingCertificate,
     Subspace,
     build_h,
+    comodule_primitives_at,
     comodule_primitives_total,
     recheck_certificate,
     validate_comodule_algebra,
     verify_theorem_on_corpus,
 )
-from comodule_splitter.generators import gen_group_algebra, shipped_corpus
-from comodule_splitter.splitting import choose_retraction, phi, phi_inverse, retraction_onto
+from comodule_splitter.definitions import load_certificate
+from comodule_splitter.generators import gen_group_algebra, gen_random_pointed, shipped_corpus
+from comodule_splitter.splitting import _phi_inverse, retraction_onto
 
 EXPECTED_RANKS = {
     "binomial_2_4_id": 4,
@@ -104,6 +105,36 @@ def _residual_oracle_zero(ma, h):
     return True
 
 
+def _dense_psi(m):
+    """The coaction matrix built column by column from the triples."""
+    s = m.over.dim
+    cols = []
+    for triples in m.psi:
+        col = [0] * (m.dim * s)
+        for a, k, c in triples:
+            col[a * s + k] = c
+        cols.append(col)
+    return FieldMatrix.from_cols(m.p, cols, nrows=m.dim * s)
+
+
+def _dense_residual_oracle(f):
+    """psi_N @ A - (A (x) I) @ psi_M with an explicit Kronecker product."""
+    ident = FieldMatrix.identity(f.source.p, f.source.over.dim)
+    return _dense_psi(f.target) @ f.matrix - f.matrix.kron(ident) @ _dense_psi(f.source)
+
+
+def _residual_as_matrix(f):
+    n = f.target.dim * f.source.over.dim
+    cols = [[col.get(r, 0) for r in range(n)] for col in f.residual()]
+    return FieldMatrix.from_cols(f.source.p, cols, nrows=n)
+
+
+def _tamper(h, row, col):
+    """h plus the matrix unit at (row, col)."""
+    bump = [[1 if (r, c) == (row, col) else 0 for c in range(h.ncols)] for r in range(h.nrows)]
+    return h + FieldMatrix(h.p, bump, ncols=h.ncols)
+
+
 def _conjugate(ma, f, t):
     """The same comodule algebra and map written in the basis with transition
     matrix t, so that h stops being the identity in coordinates."""
@@ -170,8 +201,8 @@ def _padded_by_trivial_line():
 def test_retraction_onto_second_axis_line():
     s = Subspace.from_vectors(2, 2, [(0, 1)])
     r = retraction_onto(s)
-    assert r.r_matrix.rows_as_lists() == [[0, 1]]
-    assert r.dim_image == 1
+    assert r.rows_as_lists() == [[0, 1]]
+    assert r.nrows == 1
 
 
 def test_retraction_law_on_random_subspaces(base_seed):
@@ -187,35 +218,45 @@ def test_retraction_law_on_random_subspaces(base_seed):
             r = retraction_onto(s)
             incl = FieldMatrix.from_cols(p, list(s.basis_vectors()), nrows=n)
             ident = FieldMatrix.identity(p, s.dim)
-            assert r.r_matrix @ incl == ident
-            proj = incl @ r.r_matrix
+            assert r @ incl == ident
+            proj = incl @ r
             assert proj @ proj == proj
 
 
 def test_choose_retraction_lands_on_total_primitives(corpus):
     bundles = {b.name: b for b in corpus}
     ma = bundles["sigma_level1_id"].comodule_algebra
-    ret = choose_retraction(ma)
-    assert ret.dim_image == 3
-    assert ret.r_matrix.ncols == ma.dim
+    total, _ = comodule_primitives_total(ma.base, ma.grouplikes)
+    ret = retraction_onto(total)
+    assert ret.nrows == 3
+    assert ret.ncols == ma.dim
 
 
 # -- phi and its inverse -------------------------------------------------------------
 
 
+def _p1_and_phi(ma):
+    """P_1(M) and the matrix of phi: k[G] (x) P_1(M) -> M, g (x) v -> g.v,
+    grouplike-major over the echelon basis of P_1(M)."""
+    w = ma.grouplikes.vectors[ma.unit_grouplike_index()]
+    p1 = comodule_primitives_at(ma.base, w)
+    cols = [a.matvec(v) for a in ma.action for v in p1.basis_vectors()]
+    return p1, FieldMatrix.from_cols(ma.p, cols, nrows=ma.dim)
+
+
 def test_phi_inverse_inverts_phi_on_corpus(corpus):
     for b in _certified_bundles(corpus):
         ma = b.comodule_algebra
-        ph = phi(ma)
-        ph_inv = phi_inverse(ma)
+        p1, ph = _p1_and_phi(ma)
         total, _ = comodule_primitives_total(ma.base, ma.grouplikes)
+        ph_inv = _phi_inverse(ma, p1, total)
         incl = FieldMatrix.from_cols(ma.p, list(total.basis_vectors()), nrows=ma.dim)
         assert ph @ ph_inv == incl
         coords = incl.solve(ph)
         assert coords is not None
         assert ph_inv @ coords == FieldMatrix.identity(ma.p, ph.ncols)
         assert coords @ ph_inv == FieldMatrix.identity(ma.p, total.dim)
-        assert choose_retraction(ma).dim_image == total.dim
+        assert retraction_onto(total).nrows == total.dim
 
 
 def test_phi_inverse_rejects_singular_action(corpus):
@@ -224,7 +265,7 @@ def test_phi_inverse_rejects_singular_action(corpus):
     bad_action = (ma.action[0], FieldMatrix.zeros(ma.p, ma.dim, ma.dim), ma.action[2])
     broken = dataclasses.replace(ma, action=bad_action, sigma_action=None, product=None)
     with pytest.raises(ActionNotInvertible):
-        phi_inverse(broken)
+        build_h(broken, bundles["sigma_level0_id"].splitting_map, force=True)
 
 
 def test_phi_inverse_rejects_collapsed_decomposition(corpus):
@@ -233,7 +274,42 @@ def test_phi_inverse_rejects_collapsed_decomposition(corpus):
     ident = FieldMatrix.identity(ma.p, ma.dim)
     lazy = dataclasses.replace(ma, action=(ident, ident, ident), sigma_action=None, product=None)
     with pytest.raises(DecompositionFails):
-        phi_inverse(lazy)
+        build_h(lazy, bundles["sigma_level0_id"].splitting_map, force=True)
+
+
+def test_build_h_computes_each_layer_once(corpus, monkeypatch):
+    """One build_h sums the primitives once and inverts each action once;
+    a recheck needs neither."""
+    import comodule_splitter.splitting as splitting
+
+    ma = {b.name: b for b in corpus}["extended_a2_level1"].comodule_algebra
+    f = {b.name: b for b in corpus}["extended_a2_level1"].splitting_map
+    assert len({id(a) for a in ma.action}) == len(ma.action) > 1
+    totals = []
+    inverted = []
+    real_total = splitting.comodule_primitives_total
+    real_inverse = FieldMatrix.inverse
+
+    def counting_total(*args):
+        totals.append(args)
+        return real_total(*args)
+
+    def counting_inverse(self):
+        inverted.append(self)
+        return real_inverse(self)
+
+    monkeypatch.setattr(splitting, "comodule_primitives_total", counting_total)
+    monkeypatch.setattr(FieldMatrix, "inverse", counting_inverse)
+    cert = build_h(ma, f)
+    assert cert.certified
+    assert len(totals) == 1
+    assert [sum(1 for m in inverted if m is a) for a in ma.action] == [1] * len(ma.action)
+
+    totals.clear()
+    inverted.clear()
+    assert recheck_certificate(cert, ma, f).ok
+    assert totals == []
+    assert not any(m is a for m in inverted for a in ma.action)
 
 
 # -- h assembly and certification ----------------------------------------------------
@@ -280,6 +356,56 @@ def test_residual_oracle_agrees_on_shipped_pairs(corpus):
         assert not _residual_oracle_zero(ma, tampered)
 
 
+def test_sparse_residual_matches_dense_oracle(corpus, base_seed):
+    """ComoduleMap.residual against psi_N A - (A (x) I) psi_M: random and
+    genuine maps over random pointed coalgebras, every corpus map, and h
+    (honest and tampered) into the cofree comodule P_1(M) (x) Sigma."""
+    maps = []
+    seen_p = set()
+    for offset in range(12):
+        sigma = gen_random_pointed(base_seed + offset).coalgebra
+        p, s = sigma.p, sigma.dim
+        seen_p.add(p)
+        rng = random.Random(base_seed + offset)
+        reg, cofree = Comodule.regular(sigma), Comodule.cofree(sigma, 2)
+        rand = lambda r, c: FieldMatrix(p, [[rng.randrange(p) for _ in range(c)] for _ in range(r)])
+        first_copy = FieldMatrix(p, [[1 if r == k else 0 for k in range(s)] for r in range(2 * s)])
+        maps += [
+            (ComoduleMap(reg, reg, FieldMatrix.identity(p, s)), True),
+            (ComoduleMap(reg, cofree, first_copy), True),
+            (ComoduleMap(reg, cofree, rand(2 * s, s)), None),
+            (ComoduleMap(cofree, reg, rand(s, 2 * s)), None),
+        ]
+    assert seen_p == {2, 3}
+    # every corpus map is a comodule map, the control's zero map included
+    maps += [(b.splitting_map, True) for b in corpus]
+    for b in _certified_bundles(corpus):
+        ma = b.comodule_algebra
+        cert = build_h(ma, b.splitting_map)
+        target = Comodule.cofree(ma.sigma, cert.p1_basis.dim)
+        maps.append((ComoduleMap(ma.base, target, cert.h_matrix), True))
+        maps.append((ComoduleMap(ma.base, target, _tamper(cert.h_matrix, 0, 1)), False))
+    for f, expected in maps:
+        assert _residual_as_matrix(f) == _dense_residual_oracle(f)
+        if expected is not None:
+            assert f.is_comodule_map() == expected
+
+
+def test_recheck_names_the_first_nonzero_residual_column(corpus):
+    b = {x.name: x for x in corpus}["binomial_2_4_id"]
+    ma, f = b.comodule_algebra, b.splitting_map
+    cert = build_h(ma, f)
+    tampered = dataclasses.replace(cert, h_matrix=_tamper(cert.h_matrix, 0, 1))
+    report = recheck_certificate(tampered, ma, f)
+    assert _failing_names(report) == {"comodule_residual_zero", "stored_residual_flag_matches"}
+    (check,) = [c for c in report.checks if c.name == "comodule_residual_zero"]
+    assert check.witness == "first nonzero residual column t^3"
+    # the dense oracle agrees on where the residual first shows
+    oracle = _dense_residual_oracle(ComoduleMap(ma.base, Comodule.cofree(ma.sigma, 1), tampered.h_matrix))
+    first = min(j for j in range(ma.dim) if any(oracle.col(j)))
+    assert ma.base.labels[first] == "t^3"
+
+
 def test_build_h_after_change_of_basis(corpus, base_seed):
     """Conjugating M by a random invertible matrix must leave the pipeline
     certified with the same rank, while h stops being the identity."""
@@ -313,12 +439,14 @@ def test_strict_star_report_is_stored_and_rechecked(corpus):
 # -- certificates as data ------------------------------------------------------------
 
 
-def test_certificate_json_round_trip(corpus):
+def test_certificate_json_round_trip(corpus, tmp_path):
     bundles = {b.name: b for b in corpus}
     b = bundles["binomial_2_4_id"]
     cert = build_h(b.comodule_algebra, b.splitting_map)
     doc = cert.to_json_dict()
-    again = SplittingCertificate.from_json_dict(doc)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    again = load_certificate(str(path))
     assert again.to_json_dict() == doc
     assert again.certified == cert.certified
     assert again.h_matrix == cert.h_matrix
