@@ -5,7 +5,8 @@ exit-code contract:
 
 * 0 success
 * 1 mathematical failure (validator says no, certificate does not check out)
-* 2 parse or usage error (bad JSON, missing file, unsupported level)
+* 2 parse or usage error (bad JSON, missing file, unsupported level, a
+  grouplike index out of range, a non-prime p, an unparsable cap)
 * 3 resource cap hit (tensor-power cell cap, grouplike search bound)
 * 4 splitting hypothesis not met
 
@@ -106,6 +107,12 @@ def _sigma_filtration(c: Coalgebra, algo: str, max_level: int | None, search: bo
     return coradical_filtration_wedge(c, g, max_level)
 
 
+def _grouplike_at(g: GroupLikeSet, idx: int) -> tuple[int, ...]:
+    if not 0 <= idx < len(g):
+        raise ParseError(f"grouplike index {idx} is out of range: there are {len(g)} grouplikes")
+    return g.vectors[idx]
+
+
 def _basis_lists(subspace) -> list[list[int]]:
     return [list(v) for v in subspace.basis_vectors()]
 
@@ -173,7 +180,7 @@ def cmd_primitives(args) -> int:
         c = load_coalgebra(args.path)
         g = _grouplikes_for(c, args.search, None)
         if args.at is not None:
-            space = primitives_at(c, g.vectors[args.at])
+            space = primitives_at(c, _grouplike_at(g, args.at))
             _emit({"at": args.at, "dim": space.dim, "basis": _basis_lists(space)})
             return 0
         report = f1_decomposition(c, g)
@@ -184,7 +191,7 @@ def cmd_primitives(args) -> int:
     m, _ = load_comodule(args.path)
     g = _grouplikes_for(m.over, args.search, None)
     if args.at is not None:
-        space = comodule_primitives_at(m, g.vectors[args.at])
+        space = comodule_primitives_at(m, _grouplike_at(g, args.at))
         _emit({"at": args.at, "dim": space.dim, "basis": _basis_lists(space)})
         return 0
     total, report = comodule_primitives_total(m, g)
@@ -201,9 +208,9 @@ def cmd_cotensor(args) -> int:
     elif spec == "coradical":
         g = _grouplikes_for(sigma, args.search, None)
         n = LeftComodule.coradical(sigma, g)
-    elif spec.startswith("g:"):
+    elif spec.startswith("g:") and spec[2:].isdecimal():
         g = _grouplikes_for(sigma, args.search, None)
-        n = LeftComodule.grouplike_line(sigma, g.vectors[int(spec[2:])])
+        n = LeftComodule.grouplike_line(sigma, _grouplike_at(g, int(spec[2:])))
     else:
         raise ParseError(f"--with must be sigma, coradical, or g:IDX (got {spec!r})")
     space = cotensor(m, n)

@@ -8,7 +8,8 @@ computed two independent ways:
 * directly, as kernels of iterated comultiplications composed with the
   quotient by the span of the grouplikes, and
 * by the wedge recursion  F_n = preimage of C (x) F_{n-1} + F_0 (x) C
-  under the comultiplication.
+  under the comultiplication, read off the Delta triples by
+  ``staircase_preimage`` without building that sum.
 
 The two must agree level by level; the test suite leans on that heavily.
 Exhaustion of the wedge filtration starting from the span of all grouplikes
@@ -29,6 +30,7 @@ from .errors import (
     DecompositionFails,
     NotASubcoalgebra,
     NotGrouplike,
+    ParseError,
     SearchSpaceTooLarge,
     ShapeError,
     StructureMismatch,
@@ -38,12 +40,10 @@ from .field_linalg import (
     Subspace,
     Vector,
     _add_mod,
-    _kernel_dense,
-    _kernel_packed,
     _pack,
     _unpack,
     kernel_from_sparse_cols,
-    preimage,
+    staircase_preimage,
 )
 from .reporting import CheckResult, F1DecompositionReport, ValidationReport
 
@@ -60,7 +60,10 @@ def effective_cap(cap: int | None = None) -> int:
         return cap
     env = os.environ.get(CAP_ENV_VAR)
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ParseError(f"{CAP_ENV_VAR} must be an integer, got {env!r}") from None
     return DEFAULT_TENSOR_CELL_CAP
 
 
@@ -122,9 +125,6 @@ class Coalgebra:
 
     def delta_sparse(self) -> list[dict[tuple[int, int], int]]:
         return [{(j, k): c for j, k, c in t} for t in self.delta]
-
-    def counit_matrix(self) -> FieldMatrix:
-        return FieldMatrix(self.p, [self.counit])
 
     def core_equal(self, other: "Coalgebra") -> bool:
         """Same underlying coalgebra: p, dimension, comultiplication, counit.
@@ -333,11 +333,8 @@ def _coradical_span(c: Coalgebra, g: GroupLikeSet) -> Subspace:
     if g.p != c.p or g.ambient_dim != c.dim:
         raise ShapeError("grouplike set does not match the coalgebra")
     r = g.span()
-    rr = r.tensor(r)
-    d = c.delta_matrix()
-    for b in r.basis_vectors():
-        if not rr.contains(d.matvec(b)):
-            raise NotASubcoalgebra("span of the given vectors is not closed under Delta")
+    if not staircase_preimage([(r, r)], c.delta).contains_subspace(r):
+        raise NotASubcoalgebra("span of the given vectors is not closed under Delta")
     return r
 
 
@@ -348,9 +345,7 @@ def coradical_filtration_wedge(
 ) -> Filtration:
     """Socle filtration by the wedge recursion F_n = Delta^{-1}(C (x) F_{n-1} + F_0 (x) C)."""
     r = _coradical_span(c, g)
-    d = c.delta_matrix()
     full = Subspace.full(c.p, c.dim)
-    f0_side = r.tensor(full)
     levels = [r]
     stabilized = False
     while k_max is None or len(levels) - 1 < k_max:
@@ -358,8 +353,7 @@ def coradical_filtration_wedge(
         if prev.is_full():
             stabilized = True
             break
-        target = full.tensor(prev).add(f0_side)
-        nxt = preimage(d, target)
+        nxt = staircase_preimage([(full, prev), (r, full)], c.delta)
         if nxt == prev:
             stabilized = True
             break
@@ -457,31 +451,15 @@ def primitives_at(c: Coalgebra, g: Vector) -> Subspace:
     if not is_grouplike(c, g):
         raise NotGrouplike(f"reference vector {list(g)} is not grouplike")
     p, n = c.p, c.dim
-    g = tuple(x % p for x in g)
-    d = c.delta_matrix()
-    if p == 2:
-        gp = _pack(g)
-        dcols = d.packed_cols()
-        cols = []
-        for i in range(n):
-            col = dcols[i] ^ (gp << (i * n))
-            acc = 0
-            t = gp
-            while t:
-                s = (t & -t).bit_length() - 1
-                acc |= 1 << (s * n + i)
-                t &= t - 1
-            cols.append(col ^ acc)
-        return _kernel_packed(n, cols)
+    support = [(k, x % p) for k, x in enumerate(g) if x % p]
     cols = []
-    for i in range(n):
-        col = list(d.col(i))
-        for k in range(n):
-            col[i * n + k] = (col[i * n + k] - g[k]) % p
-        for s in range(n):
-            col[s * n + i] = (col[s * n + i] - g[s]) % p
+    for i, triples in enumerate(c.delta):
+        col = {j * n + k: cf for j, k, cf in triples}
+        for k, x in support:
+            _add_mod(col, i * n + k, -x, p)
+            _add_mod(col, k * n + i, -x, p)
         cols.append(col)
-    return _kernel_dense(p, n, cols)
+    return kernel_from_sparse_cols(p, n, cols)
 
 
 def f1_decomposition(c: Coalgebra, g: GroupLikeSet) -> F1DecompositionReport:

@@ -9,7 +9,10 @@ Everything downstream of the coalgebra layer lives here: the induced
 filtration F_k(M) = psi^{-1}(M (x) F_k), primitives at a grouplike,
 the total primitives with their certified decomposition, cotensor
 products against small left comodules, graded left primitives, and the
-star-surjectivity report that gates the splitting engine.
+star-surjectivity report that gates the splitting engine.  The filtration,
+F_0(M) and both sides of the graded primitives are preimages of staircase
+tensor sums, computed by ``staircase_preimage`` straight from the
+psi or Delta triples; no tensor sum and no psi matrix is built for them.
 
 A ComoduleAlgebra packages the extra structure the splitting theorem
 needs: an action of the grouplikes by invertible matrices, a unit vector
@@ -47,12 +50,9 @@ from .field_linalg import (
     Subspace,
     Vector,
     _add_mod,
-    _kernel_dense,
-    _kernel_packed,
-    _pack,
     image,
     kernel_from_sparse_cols,
-    preimage,
+    staircase_preimage,
 )
 from .reporting import (
     CheckResult,
@@ -301,14 +301,18 @@ class ComoduleAlgebra:
     def unit_grouplike_index(self) -> int | None:
         """The index w with psi(unit) = unit (x) g_w, or None if there is none."""
         p = self.p
-        s = self.sigma.dim
-        psi_eta = self.base.psi_matrix().matvec(self.unit)
+        psi_eta: dict[tuple[int, int], int] = {}
+        for i, x in enumerate(self.unit):
+            if x:
+                for a, k, c in self.base.psi[i]:
+                    _add_mod(psi_eta, (a, k), x * c, p)
         for idx, g in enumerate(self.grouplikes):
-            if all(
-                psi_eta[i * s + k] == (self.unit[i] * g[k]) % p
-                for i in range(self.dim)
-                for k in range(s)
-            ):
+            outer = {
+                (i, k): x * y % p
+                for i, x in enumerate(self.unit) if x
+                for k, y in enumerate(g) if y
+            }
+            if psi_eta == outer:
                 return idx
         return None
 
@@ -579,11 +583,10 @@ def comodule_filtration(m: Comodule, f: Filtration) -> Filtration:
     """F_k(M) = psi^{-1}(M (x) F_k), level by level along the given filtration."""
     if f.p != m.p or f.ambient_dim != m.over.dim:
         raise ShapeError("filtration does not live on the over-coalgebra")
-    psi = m.psi_matrix()
     full_m = Subspace.full(m.p, m.dim)
     levels = []
     for k in range(f.top + 1):
-        levels.append(preimage(psi, full_m.tensor(f.level(k))))
+        levels.append(staircase_preimage([(full_m, f.level(k))], m.psi))
         if levels[-1].is_full():
             break
     stabilized = f.stabilized or levels[-1].is_full()
@@ -601,19 +604,14 @@ def comodule_primitives_at(m: Comodule, g: Vector) -> Subspace:
     if not is_grouplike(m.over, g):
         raise NotGrouplike(f"{list(g)} is not grouplike")
     s = m.over.dim
-    psi = m.psi_matrix()
-    if p == 2:
-        gp = _pack(gv)
-        pcols = psi.packed_cols()
-        pg = _kernel_packed(m.dim, [pcols[i] ^ (gp << (i * s)) for i in range(m.dim)])
-    else:
-        cols = []
-        for i in range(m.dim):
-            col = list(psi.col(i))
-            for k in range(s):
-                col[i * s + k] = (col[i * s + k] - gv[k]) % p
-            cols.append(col)
-        pg = _kernel_dense(p, m.dim, cols)
+    support = [(k, x) for k, x in enumerate(gv) if x]
+    cols = []
+    for i, triples in enumerate(m.psi):
+        col = {a * s + k: c for a, k, c in triples}
+        for k, x in support:
+            _add_mod(col, i * s + k, -x, p)
+        cols.append(col)
+    pg = kernel_from_sparse_cols(p, m.dim, cols)
     m._primitives[gv] = pg
     return pg
 
@@ -632,7 +630,7 @@ def comodule_primitives_total(
         pg = comodule_primitives_at(m, vec)
         dims.append(pg.dim)
         total = total.add(pg)
-    f0 = preimage(m.psi_matrix(), Subspace.full(m.p, m.dim).tensor(g.span()))
+    f0 = staircase_preimage([(Subspace.full(m.p, m.dim), g.span())], m.psi)
     report = PrimitivesReport(
         total_dim=total.dim,
         per_grouplike_dims=tuple(dims),
@@ -702,10 +700,8 @@ def graded_left_primitives(
         sigma_filt = coradical_filtration_wedge(ma.sigma, ma.grouplikes)
     p = ma.p
     eta_line = Subspace.from_vectors(p, ma.dim, [ma.unit])
-    target = eta_line.tensor(sigma_filt.level(k)).add(
-        Subspace.full(p, ma.dim).tensor(sigma_filt.level(k - 1))
-    )
-    return preimage(ma.base.psi_matrix(), target)
+    terms = [(Subspace.full(p, ma.dim), sigma_filt.level(k - 1)), (eta_line, sigma_filt.level(k))]
+    return staircase_preimage(terms, ma.base.psi)
 
 
 def _sigma_graded_left_primitives(
@@ -714,10 +710,8 @@ def _sigma_graded_left_primitives(
     """Same construction on the over-coalgebra itself, with unit vector w."""
     p = sigma.p
     w_line = Subspace.from_vectors(p, sigma.dim, [w])
-    target = w_line.tensor(sigma_filt.level(k)).add(
-        Subspace.full(p, sigma.dim).tensor(sigma_filt.level(k - 1))
-    )
-    return preimage(sigma.delta_matrix(), target)
+    terms = [(Subspace.full(p, sigma.dim), sigma_filt.level(k - 1)), (w_line, sigma_filt.level(k))]
+    return staircase_preimage(terms, sigma.delta)
 
 
 def check_star_surjective(

@@ -31,7 +31,7 @@ import os
 from .coalgebra import Coalgebra, GroupLikeSet, find_grouplikes
 from .comodule import Comodule, ComoduleAlgebra, ComoduleMap
 from .errors import ParseError
-from .field_linalg import FieldMatrix, Subspace
+from .field_linalg import FieldMatrix, Subspace, _is_prime
 from .generators import ExampleBundle
 from .reporting import StarLevelResult, StarReport
 from .splitting import SplittingCertificate
@@ -54,17 +54,6 @@ def _dump_json(doc: dict, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
         fh.write("\n")
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _require(doc: dict, key: str, path: str):

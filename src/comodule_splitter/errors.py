@@ -12,7 +12,9 @@ class ShapeError(SplitterError):
 
 
 class ParseError(SplitterError):
-    """A definition file is malformed or references something that does not exist."""
+    """An input is malformed or references something that does not exist: a
+    definition file, a command-line value, a generator argument or the cap
+    environment variable."""
 
 
 class DeclaredNotGrouplike(SplitterError):

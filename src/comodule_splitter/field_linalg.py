@@ -26,12 +26,32 @@ from .errors import ShapeError
 Vector = Sequence[int]
 
 
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
 def _pack(vec: Vector) -> int:
     """Pack a 0/1 vector into an int, bit j = entry j."""
     mask = 0
     for j, x in enumerate(vec):
         if x % 2:
             mask |= 1 << j
+    return mask
+
+
+def _pack_sparse(col: dict[int, int]) -> int:
+    """Pack a sparse column (row -> coeff) over F_2 into an int, bit i = row i."""
+    mask = 0
+    for i, x in col.items():
+        if x % 2:
+            mask |= 1 << i
     return mask
 
 
@@ -204,12 +224,6 @@ class FieldMatrix:
 
     def rows_as_lists(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.nrows)]
-
-    def packed_rows(self) -> tuple[int, ...]:
-        """Bit-packed rows; only meaningful for p = 2."""
-        if self.p != 2:
-            raise ShapeError("packed rows are only available over F_2")
-        return self._rows
 
     def packed_cols(self) -> list[int]:
         """Bit-packed columns (bit i = row i); only for p = 2."""
@@ -401,10 +415,8 @@ class FieldMatrix:
 
     def kernel(self) -> "Subspace":
         """Null space {v : A v = 0} as a canonical subspace of F^ncols."""
-        if self.p == 2:
-            return _kernel_packed(self.ncols, self.packed_cols())
-        cols = [list(self.col(j)) for j in range(self.ncols)]
-        return _kernel_dense(self.p, self.ncols, cols)
+        cols = self.packed_cols() if self.p == 2 else self.sparse_cols()
+        return kernel_from_sparse_cols(self.p, self.ncols, cols)
 
     def solve(self, rhs: "FieldMatrix") -> "FieldMatrix | None":
         """A particular X with self @ X = rhs, or None when unsolvable.
@@ -459,101 +471,57 @@ class FieldMatrix:
         return FieldMatrix._raw(self.p, n, n, inv_rows)
 
 
-def _kernel_packed(ncols: int, cols: list[int]) -> "Subspace":
-    """Kernel over F_2 from bit-packed columns (bit i of a column = row i)."""
-    table: dict[int, tuple[int, int]] = {}
-    vectors: list[int] = []
-    for j, c in enumerate(cols):
-        a = 1 << j
-        while c:
-            lead = (c & -c).bit_length() - 1
-            hit = table.get(lead)
-            if hit is None:
-                table[lead] = (c, a)
-                a = 0
-                break
-            c ^= hit[0]
-            a ^= hit[1]
-        if c == 0:
-            vectors.append(a)
+def kernel_from_sparse_cols(p: int, ncols: int, cols: Sequence) -> "Subspace":
+    """The kernel {v : sum_j v_j cols[j] = 0} as a canonical subspace of F^ncols.
+
+    This is the package's one kernel routine.  A column is a dict
+    row -> coeff; over F_2 it may also be a bit-packed int (bit i = row i).
+    The row count never has to be materialized, which is what makes the
+    staircase preimages, the iterated-coproduct and the cotensor kernels
+    affordable.  Columns are eliminated in order against a table of earlier
+    columns keyed by their lowest row, recording the same operations on a
+    coefficient vector; a column that reduces to zero gives a kernel vector.
+    """
     rows: list = []
     pivots: list[int] = []
-    for v in vectors:
-        _insert_row(2, ncols, rows, pivots, v)
-    return Subspace._raw(2, ncols, tuple(rows), tuple(pivots))
-
-
-def kernel_from_sparse_cols(p: int, ncols: int, cols: list[dict[int, int]]) -> "Subspace":
-    """Kernel of a matrix given as sparse columns (dicts row -> coeff).
-
-    The row count never has to be materialized, which is what makes the
-    iterated-coproduct and cotensor kernels affordable at tensor-cube sizes.
-    """
-    table: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
-    vectors: list[list[int]] = []
-
-    def sub_scaled(x: dict[int, int], y: dict[int, int], f: int) -> dict[int, int]:
-        out = dict(x)
-        for k, v in y.items():
-            _add_mod(out, k, -f * v, p)
-        return out
-
+    if p == 2:
+        table: dict[int, tuple[int, int]] = {}
+        for j, c in enumerate(cols):
+            if not isinstance(c, int):
+                c = _pack_sparse(c)
+            a = 1 << j
+            while c:
+                lead = (c & -c).bit_length() - 1
+                hit = table.get(lead)
+                if hit is None:
+                    table[lead] = (c, a)
+                    break
+                c ^= hit[0]
+                a ^= hit[1]
+            else:
+                _insert_row(2, ncols, rows, pivots, a)
+        return Subspace._raw(2, ncols, tuple(rows), tuple(pivots))
+    dtable: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
     for j, col in enumerate(cols):
         c = {k: v % p for k, v in col.items() if v % p}
         a = {j: 1}
-        placed = False
         while c:
             lead = min(c)
-            hit = table.get(lead)
+            hit = dtable.get(lead)
             if hit is None:
                 inv = pow(c[lead], -1, p)
-                table[lead] = (
+                dtable[lead] = (
                     {k: v * inv % p for k, v in c.items()},
                     {k: v * inv % p for k, v in a.items()},
                 )
-                placed = True
                 break
-            f = c[lead]
-            c = sub_scaled(c, hit[0], f)
-            a = sub_scaled(a, hit[1], f)
-        if not placed:
-            vec = [0] * ncols
-            for k, v in a.items():
-                vec[k] = v
-            vectors.append(vec)
-    rows: list = []
-    pivots: list[int] = []
-    for v in vectors:
-        _insert_row(p, ncols, rows, pivots, _pack(v) if p == 2 else tuple(v))
-    return Subspace._raw(p, ncols, tuple(rows), tuple(pivots))
-
-
-def _kernel_dense(p: int, ncols: int, cols: list[list[int]]) -> "Subspace":
-    """Kernel over F_p from dense columns, by column elimination."""
-    table: dict[int, tuple[list[int], list[int]]] = {}
-    vectors: list[list[int]] = []
-    for j, c in enumerate(cols):
-        c = [x % p for x in c]
-        a = [0] * ncols
-        a[j] = 1
-        while True:
-            lead = _first_nonzero(c)
-            if lead is None:
-                vectors.append(a)
-                break
-            hit = table.get(lead)
-            if hit is None:
-                inv = pow(c[lead], -1, p)
-                table[lead] = ([x * inv % p for x in c], [x * inv % p for x in a])
-                break
-            f = c[lead]
-            hc, ha = hit
-            c = [(x - f * y) % p for x, y in zip(c, hc)]
-            a = [(x - f * y) % p for x, y in zip(a, ha)]
-    rows: list = []
-    pivots: list[int] = []
-    for v in vectors:
-        _insert_row(p, ncols, rows, pivots, tuple(v))
+            f = p - c[lead]
+            for k, v in hit[0].items():
+                _add_mod(c, k, f * v, p)
+            for k, v in hit[1].items():
+                _add_mod(a, k, f * v, p)
+        else:
+            _insert_row(p, ncols, rows, pivots, tuple(a.get(k, 0) for k in range(ncols)))
     return Subspace._raw(p, ncols, tuple(rows), tuple(pivots))
 
 
@@ -792,16 +760,20 @@ class Subspace:
 
 
 def preimage(m: FieldMatrix, s: Subspace) -> Subspace:
-    """{v : m v in s}, the preimage of a subspace of the codomain."""
+    """{v : m v in s}, the preimage of a subspace of the codomain.
+
+    The literal route, kept as the oracle that the tests hold
+    ``staircase_preimage`` to.
+    """
     if m.p != s.p:
         raise ShapeError("mixed characteristics")
     if s.ambient_dim != m.nrows:
         raise ShapeError("subspace must live in the codomain of the matrix")
     if m.p == 2:
         cols = [s._reduce_packed(c) for c in m.packed_cols()]
-        return _kernel_packed(m.ncols, cols)
-    cols = [list(s.reduce(m.col(j))) for j in range(m.ncols)]
-    return _kernel_dense(m.p, m.ncols, cols)
+    else:
+        cols = [dict(enumerate(s.reduce(m.col(j)))) for j in range(m.ncols)]
+    return kernel_from_sparse_cols(m.p, m.ncols, cols)
 
 
 def image(m: FieldMatrix, s: Subspace | None = None) -> Subspace:
@@ -854,11 +826,8 @@ class StaircaseMembership:
         for i in range(r + 1):
             a_next = terms[i][0] if i < r else zero_l
             b_cur = terms[i - 1][1] if i >= 1 else zero_r
-            qa = a_next.quotient_matrix()
-            qb = b_cur.quotient_matrix()
-            if qa.nrows == 0 or qb.nrows == 0:
-                continue
-            self._conds.append((qa, qb))
+            if not (a_next.is_full() or b_cur.is_full()):
+                self._conds.append((a_next.quotient_matrix(), b_cur.quotient_matrix()))
 
     def contains(self, vec: Vector) -> bool:
         m, n = self.left_dim, self.right_dim
@@ -899,11 +868,71 @@ class StaircaseMembership:
         return True
 
 
+def staircase_preimage(
+    terms: Sequence[tuple[Subspace, Subspace]],
+    coaction: Sequence[Iterable[tuple[int, int, int]]],
+) -> Subspace:
+    """{v in F^N : psi(v) in A_1 (x) B_1 + ... + A_r (x) B_r}, N = len(coaction),
+    for the map psi(e_i) = sum of c * e_a (x) e_k over the triples (a, k, c)
+    of coaction[i] -- the shape of ``Comodule.psi`` and ``Coalgebra.delta``.
+
+    The terms must form a staircase, as for ``StaircaseMembership``, whose
+    corner pairs (q_A, q_B) this uses.  The result is the kernel of
+    v -> (+)_corners (q_A (x) q_B) psi(v), read straight off the triples:
+    neither the sum, nor a tensor product of subspaces, nor the matrix of
+    psi is ever built.  The rows of the corner (q_A, q_B) are indexed
+    s * rows(q_B) + u, after the rows of the corners before it.
+    """
+    stair = StaircaseMembership(terms)
+    p = stair.p
+    corners = []
+    offset = 0
+    for qa, qb in stair._conds:
+        if p == 2:
+            corners.append((offset, qb.nrows, qa.packed_cols(), qb.packed_cols()))
+        else:
+            corners.append((offset, qb.nrows, qa.sparse_cols(), qb.sparse_cols()))
+        offset += qa.nrows * qb.nrows
+    cols: list = []
+    for triples in coaction:
+        by_left: dict[int, list[tuple[int, int]]] = {}
+        for a, k, c in triples:
+            if not (0 <= a < stair.left_dim and 0 <= k < stair.right_dim):
+                raise ShapeError(f"coaction index out of range: ({a}, {k})")
+            by_left.setdefault(a, []).append((k, c))
+        col: int | dict[int, int] = 0 if p == 2 else {}
+        for off, nb, qacols, qbcols in corners:
+            for a, kcs in by_left.items():
+                # y = q_B applied to the part of psi(v) with left index a
+                if p == 2:
+                    y = 0
+                    for k, c in kcs:
+                        if c & 1:
+                            y ^= qbcols[k]
+                    t = qacols[a] if y else 0
+                    while t:
+                        s = (t & -t).bit_length() - 1
+                        col ^= y << (off + s * nb)
+                        t &= t - 1
+                else:
+                    y = {}
+                    for k, c in kcs:
+                        for u, x in qbcols[k].items():
+                            _add_mod(y, u, c * x, p)
+                    for s, x in qacols[a].items():
+                        for u, z in y.items():
+                            _add_mod(col, off + s * nb + u, x * z, p)
+        cols.append(col)
+    return kernel_from_sparse_cols(p, len(coaction), cols)
+
+
 def staircase_sum(terms: Sequence[tuple[Subspace, Subspace]]) -> Subspace:
     """The literal subspace A_1 (x) B_1 + ... + A_r (x) B_r.
 
-    Fine for small ambient spaces; the membership class above is the scalable
-    route and the two are cross-checked in the test suite.
+    Fine for small ambient spaces and kept as the test oracle; the
+    membership class and ``staircase_preimage`` above are the scalable
+    routes (the latter is checked against
+    ``preimage(matrix, staircase_sum(terms))``).
     """
     out: Subspace | None = None
     for a, b in terms:

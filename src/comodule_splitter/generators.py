@@ -38,8 +38,14 @@ from .coalgebra import (
     validate_coalgebra,
 )
 from .comodule import Comodule, ComoduleAlgebra, ComoduleMap
-from .errors import GeneratedObjectInvalid, ShapeError, StructureMismatch, UnsupportedLevel
-from .field_linalg import FieldMatrix
+from .errors import (
+    GeneratedObjectInvalid,
+    ParseError,
+    ShapeError,
+    StructureMismatch,
+    UnsupportedLevel,
+)
+from .field_linalg import FieldMatrix, _is_prime
 
 Monomial = tuple[int, ...]
 
@@ -113,8 +119,14 @@ def _regular_bundle(name: str, c: Coalgebra, expected: str = "certified") -> Exa
     return ExampleBundle(name, c, g, ma, f, expected)
 
 
+def _require_prime(p: int) -> None:
+    if not _is_prime(p):
+        raise ParseError(f"p must be a prime, got {p}")
+
+
 def gen_group_algebra(p: int, n: int) -> ExampleBundle:
     """k[Z/n] over F_p: every basis element grouplike, coradical everything."""
+    _require_prime(p)
     if n < 1:
         raise ShapeError("group order must be at least 1")
     return _regular_bundle(f"group_algebra_{p}_{n}_id", _cyclic_coalgebra(p, n))
@@ -141,6 +153,7 @@ def gen_binomial_truncation(p: int, d: int) -> ExampleBundle:
     is not an algebra map against the truncated product for general d, so no
     product table is attached.
     """
+    _require_prime(p)
     if d < 2:
         raise ShapeError("truncation degree must be at least 2")
     c = _binomial_coalgebra(p, d)

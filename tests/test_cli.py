@@ -157,6 +157,16 @@ def test_filtration_cell_cap_exits_3_with_hint(capsys, corpus_dir, monkeypatch):
     assert "wedge" in err
 
 
+def test_unparsable_cap_exits_2(capsys, corpus_dir, monkeypatch):
+    monkeypatch.setenv("COMODULE_SPLITTER_CAP", "abc")
+    files = _bundle_files(corpus_dir, "sigma_level1_id")
+    code, out, err = _run(capsys, "filtration", files["sigma"], "--algo", "direct")
+    assert code == 2
+    assert out == ""
+    assert "COMODULE_SPLITTER_CAP" in err
+    assert "Traceback" not in err
+
+
 # -- primitives and cotensor -----------------------------------------------------------
 
 
@@ -195,6 +205,30 @@ def test_cotensor_with_builtin_left_factors(capsys, corpus_dir):
         assert json.loads(out)["dim"] == dim
     code, _, err = _run(capsys, "cotensor", files["comodule"], "--with", "junk")
     assert code == 2
+
+
+def test_bad_grouplike_indices_exit_2(capsys, corpus_dir):
+    """An index outside 0..len-1 (sigma_level1_id has 3 grouplikes) or one
+    that is not a number is refused, never wrapped round or raised."""
+    files = _bundle_files(corpus_dir, "sigma_level1_id")
+    for argv in (
+        ("primitives", files["sigma"], "--at", "99"),
+        ("primitives", files["sigma"], "--at", "-1"),
+        ("primitives", files["comodule"], "--at", "3"),
+        ("primitives", files["comodule"], "--at", "-1"),
+        ("cotensor", files["comodule"], "--with", "g:99"),
+        ("cotensor", files["comodule"], "--with", "g:-1"),
+        ("cotensor", files["comodule"], "--with", "g:x"),
+        ("cotensor", files["comodule"], "--with", "g:"),
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "error:" in err
+        assert "Traceback" not in err
+    code, out, _ = _run(capsys, "cotensor", files["comodule"], "--with", "g:2")
+    assert code == 0
+    assert json.loads(out)["dim"] == 1
 
 
 # -- star, split, certify ----------------------------------------------------------------
@@ -414,3 +448,18 @@ def test_generate_unsupported_level_exits_2(capsys, tmp_path):
     code, _, err = _run(capsys, "generate", "sigma", "--level", "7", "--out", str(tmp_path))
     assert code == 2
     assert "error:" in err
+
+
+def test_generate_refuses_a_non_prime_p(capsys, tmp_path):
+    for argv in (
+        ("binomial", "--p", "4", "--d", "3"),
+        ("group-algebra", "--p", "4", "--n", "2"),
+        ("binomial", "--p", "1", "--d", "3"),
+        ("group-algebra", "--p", "0"),
+    ):
+        out_dir = tmp_path / argv[0] / argv[2]
+        code, out, err = _run(capsys, "generate", *argv, "--out", str(out_dir))
+        assert code == 2, argv
+        assert out == ""
+        assert "prime" in err
+        assert os.listdir(out_dir) == []

@@ -12,6 +12,8 @@ import random
 import pytest
 
 from comodule_splitter.coalgebra import (
+    GroupLikeSet,
+    _coradical_span,
     coradical_filtration_direct,
     coradical_filtration_wedge,
     find_grouplikes,
@@ -21,6 +23,7 @@ from comodule_splitter.comodule import (
     ComoduleAlgebra,
     ComoduleMap,
     LeftComodule,
+    _sigma_graded_left_primitives,
     check_map_preserves_filtration,
     check_star_surjective,
     comodule_filtration,
@@ -34,15 +37,24 @@ from comodule_splitter.comodule import (
 )
 from comodule_splitter.errors import (
     NotAComoduleMap,
+    NotASubcoalgebra,
     ShapeError,
     StructureMismatch,
 )
-from comodule_splitter.field_linalg import FieldMatrix, StaircaseMembership, Subspace, preimage
+from comodule_splitter.field_linalg import (
+    FieldMatrix,
+    StaircaseMembership,
+    Subspace,
+    preimage,
+    staircase_preimage,
+    staircase_sum,
+)
 from comodule_splitter.generators import (
     bundle_extended,
     bundle_sigma_regular,
     gen_binomial_truncation,
     gen_group_algebra,
+    gen_random_pointed,
     gen_sigma_truncation,
 )
 
@@ -373,6 +385,94 @@ def test_psi_of_filtration_in_primitive_staircase(corpus):
             )
             for v in mfilt.level(k).basis_vectors():
                 assert checker.contains(psi.matvec(v))
+
+
+# -- staircase preimages against the literal route ---------------------------------------
+
+
+def _literal_preimage(matrix: FieldMatrix, terms) -> Subspace:
+    """The route the staircase kernel replaces: build the tensor sum in full
+    and reduce the columns of the dense matrix against it."""
+    return preimage(matrix, staircase_sum(terms))
+
+
+def _staircase_cases(corpus, base_seed):
+    """Comodule algebras to hold the staircase kernel to: the cofree
+    comodule F^2 (x) Sigma over random pointed coalgebras (unit w in the
+    first copy, for a random grouplike w), a binomial truncation over F_3,
+    and every corpus bundle."""
+    cases = []
+    for offset in range(12):
+        bundle = gen_random_pointed(base_seed + offset)
+        sigma, g = bundle.coalgebra, bundle.grouplikes
+        w = random.Random(base_seed + offset).choice(g.vectors)
+        m = Comodule.cofree(sigma, 2)
+        ident = FieldMatrix.identity(sigma.p, m.dim)
+        pad = (0,) * sigma.dim
+        cases.append(
+            ComoduleAlgebra(m, g, (ident,) * len(g), tuple(w) + pad, sigma.counit + pad)
+        )
+    cases.append(gen_binomial_truncation(3, 12).comodule_algebra)
+    cases += [b.comodule_algebra for b in corpus]
+    return cases
+
+
+def test_staircase_preimages_match_the_literal_route(corpus, base_seed):
+    """Every layer read off the triples equals the literal preimage of the
+    built-out tensor sum: each level of the wedge filtration (one past the
+    top), of comodule_filtration, of both graded-primitive sides, and F_0(M)."""
+    cases = _staircase_cases(corpus, base_seed)
+    assert {ma.p for ma in cases} == {2, 3}
+    for ma in cases:
+        p, m, sigma = ma.p, ma.base, ma.sigma
+        psi, delta = m.psi_matrix(), sigma.delta_matrix()
+        full_m, full_s = Subspace.full(p, m.dim), Subspace.full(p, sigma.dim)
+        filt = coradical_filtration_wedge(sigma, ma.grouplikes)
+        f0 = filt.level(0)
+        for n in range(1, filt.top + 2):
+            wedge_terms = [(full_s, filt.level(n - 1)), (f0, full_s)]
+            assert filt.level(n) == _literal_preimage(delta, wedge_terms)
+        mfilt = comodule_filtration(m, filt)
+        for k in range(filt.top + 1):
+            assert mfilt.level(k) == _literal_preimage(psi, [(full_m, filt.level(k))])
+        f0_m = _literal_preimage(psi, [(full_m, ma.grouplikes.span())])
+        assert staircase_preimage([(full_m, ma.grouplikes.span())], m.psi) == f0_m
+        total, report = comodule_primitives_total(m, ma.grouplikes)
+        assert total == f0_m and report.f0_dim == f0_m.dim
+        w = ma.grouplikes.vectors[ma.unit_grouplike_index()]
+        eta, w_line = Subspace(p, m.dim, [ma.unit]), Subspace(p, sigma.dim, [w])
+        for k in range(filt.top + 1):
+            below, at = filt.level(k - 1), filt.level(k)
+            assert graded_left_primitives(ma, k, filt) == _literal_preimage(
+                psi, [(full_m, below), (eta, at)]
+            )
+            assert _sigma_graded_left_primitives(sigma, w, k, filt) == _literal_preimage(
+                delta, [(full_s, below), (w_line, at)]
+            )
+
+
+def test_coradical_closure_check_matches_the_literal_route(base_seed):
+    """Delta(R) <= R (x) R by the staircase kernel agrees with the literal
+    R (x) R, both for the span of the grouplikes and for that span plus a
+    random vector, which is usually not a subcoalgebra."""
+    outcomes = set()
+    for offset in range(12):
+        bundle = gen_random_pointed(base_seed + offset)
+        c, g = bundle.coalgebra, bundle.grouplikes
+        rng = random.Random(base_seed + offset)
+        extra = tuple(rng.randrange(c.p) for _ in range(c.dim))
+        for vectors in (g.vectors, g.vectors + (extra,)):
+            r = Subspace(c.p, c.dim, vectors)
+            closed = all(
+                staircase_sum([(r, r)]).contains(c.delta_matrix().matvec(b))
+                for b in r.basis_vectors()
+            )
+            assert staircase_preimage([(r, r)], c.delta).contains_subspace(r) == closed
+            outcomes.add(closed)
+            if not closed:
+                with pytest.raises(NotASubcoalgebra):
+                    _coradical_span(c, GroupLikeSet(c.p, c.dim, vectors))
+    assert outcomes == {True, False}
 
 
 # -- graded surjectivity ---------------------------------------------------------------

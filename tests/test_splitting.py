@@ -9,6 +9,7 @@ code that the pipeline itself uses.
 import dataclasses
 import json
 import random
+import sys
 
 import pytest
 
@@ -29,8 +30,15 @@ from comodule_splitter import (
     validate_comodule_algebra,
     verify_theorem_on_corpus,
 )
+from comodule_splitter import field_linalg
 from comodule_splitter.definitions import load_certificate
-from comodule_splitter.generators import gen_group_algebra, gen_random_pointed, shipped_corpus
+from comodule_splitter.generators import (
+    bundle_extended,
+    gen_binomial_truncation,
+    gen_group_algebra,
+    gen_random_pointed,
+    shipped_corpus,
+)
 from comodule_splitter.splitting import _phi_inverse, retraction_onto
 
 EXPECTED_RANKS = {
@@ -310,6 +318,32 @@ def test_build_h_computes_each_layer_once(corpus, monkeypatch):
     assert recheck_certificate(cert, ma, f).ok
     assert totals == []
     assert not any(m is a for m in inverted for a in ma.action)
+
+
+def test_split_and_certify_build_no_tensor_sum(monkeypatch):
+    """build_h and recheck_certificate read every filtration layer off the
+    coaction triples: with Subspace.tensor and preimage() refusing to run,
+    both still certify, over F_2 and over F_3."""
+    bundles = [bundle_extended(2, 4), gen_binomial_truncation(3, 16)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a tensor sum was built out in full")
+
+    monkeypatch.setattr(field_linalg.Subspace, "tensor", refuse)
+    patched = [
+        module
+        for name, module in sorted(sys.modules.items())
+        if name.startswith("comodule_splitter")
+        and getattr(module, "preimage", None) is field_linalg.preimage
+    ]
+    assert field_linalg in patched
+    for module in patched:
+        monkeypatch.setattr(module, "preimage", refuse)
+    for bundle in bundles:
+        ma, f = bundle.comodule_algebra, bundle.splitting_map
+        cert = build_h(ma, f)
+        assert cert.certified
+        assert recheck_certificate(cert, ma, f).ok
 
 
 # -- h assembly and certification ----------------------------------------------------
