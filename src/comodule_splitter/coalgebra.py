@@ -42,6 +42,7 @@ from .field_linalg import (
     _add_mod,
     _pack,
     _unpack,
+    image,
     kernel_from_sparse_cols,
     staircase_preimage,
 )
@@ -67,13 +68,65 @@ def effective_cap(cap: int | None = None) -> int:
     return DEFAULT_TENSOR_CELL_CAP
 
 
-def _normalize_triples(triples: Iterable[Sequence[int]], p: int, dim: int) -> Triples:
+def _normalize_triples(
+    triples: Iterable[Sequence[int]], p: int, first_dim: int, second_dim: int
+) -> Triples:
+    """Structure-constant triples (j, k, coeff) summed mod p, zeros dropped,
+    sorted by (j, k); j must lie below first_dim and k below second_dim."""
     acc: dict[tuple[int, int], int] = {}
     for j, k, coeff in triples:
-        if not (0 <= j < dim and 0 <= k < dim):
+        if not (0 <= j < first_dim and 0 <= k < second_dim):
             raise ShapeError(f"structure constant index out of range: ({j}, {k})")
         _add_mod(acc, (j, k), coeff, p)
     return tuple((j, k, c) for (j, k), c in sorted(acc.items()))
+
+
+def _coacts_as(triples: Sequence[Triples], v: Vector, g: Vector, p: int) -> bool:
+    """Does the map e_i -> sum c * e_j (x) e_k over the triples of e_i send
+    v to v (x) g?  Both vectors must be reduced mod p."""
+    lhs: dict[tuple[int, int], int] = {}
+    for i, x in enumerate(v):
+        if x:
+            for j, k, c in triples[i]:
+                _add_mod(lhs, (j, k), x * c, p)
+    return lhs == {(i, k): x * y % p for i, x in enumerate(v) if x for k, y in enumerate(g) if y}
+
+
+def _counit_witness(
+    labels: Sequence[str], outer: Sequence[Triples], counit: Sequence[int], p: int, keep_slot: int
+) -> str | None:
+    """The label of the first e_i that the counit applied to one slot of
+    outer(e_i) does not send back to e_i, or None.  ``keep_slot`` (0 or 1)
+    names the tensor slot of each triple (x, y, c) that is kept; the counit
+    is applied to the other one."""
+    for i, triples in enumerate(outer):
+        acc: dict[int, int] = {}
+        for t in triples:
+            _add_mod(acc, t[keep_slot], t[2] * counit[t[1 - keep_slot]], p)
+        if acc != {i: 1}:
+            return labels[i]
+    return None
+
+
+def _coassociativity_witness(
+    labels: Sequence[str], outer: Sequence[Triples], left: Sequence[Triples],
+    right: Sequence[Triples], p: int,
+) -> str | None:
+    """The label of the first e_i with (left (x) id) outer(e_i) !=
+    (id (x) right) outer(e_i), or None.  Each map is given by its triples
+    (x, y, c) per basis element: left acts on the first slot of outer,
+    right on the second."""
+    for i, triples in enumerate(outer):
+        lhs: dict[tuple[int, int, int], int] = {}
+        rhs: dict[tuple[int, int, int], int] = {}
+        for x, y, c in triples:
+            for u, v, c2 in left[x]:
+                _add_mod(lhs, (u, v, y), c * c2, p)
+            for u, v, c2 in right[y]:
+                _add_mod(rhs, (x, u, v), c * c2, p)
+        if lhs != rhs:
+            return labels[i]
+    return None
 
 
 @dataclass(frozen=True)
@@ -103,7 +156,7 @@ class Coalgebra:
         if len(self.delta) != self.dim or len(self.counit) != self.dim:
             raise ShapeError("delta and counit must cover the whole basis")
         object.__setattr__(
-            self, "delta", tuple(_normalize_triples(t, self.p, self.dim) for t in self.delta)
+            self, "delta", tuple(_normalize_triples(t, self.p, self.dim, self.dim) for t in self.delta)
         )
         object.__setattr__(self, "counit", tuple(x % self.p for x in self.counit))
         if self.declared_grouplikes is not None:
@@ -207,44 +260,12 @@ def validate_coalgebra(c: Coalgebra) -> ValidationReport:
         checks.append(CheckResult("dimension", False, "dimension must be at least 1"))
         return ValidationReport("coalgebra", tuple(checks))
     checks.append(CheckResult("dimension", True))
-
-    sparse = c.delta_sparse()
-    p = c.p
-
-    witness = None
-    for i in range(c.dim):
-        left: dict[tuple[int, int, int], int] = {}
-        right: dict[tuple[int, int, int], int] = {}
-        for (j, k), cf in sparse[i].items():
-            for (a, b), cf2 in sparse[j].items():
-                _add_mod(left, (a, b, k), cf * cf2, p)
-            for (a, b), cf2 in sparse[k].items():
-                _add_mod(right, (j, a, b), cf * cf2, p)
-        if left != right:
-            witness = c.labels[i]
-            break
-    checks.append(CheckResult("coassociativity", witness is None, witness))
-
-    witness = None
-    for i in range(c.dim):
-        acc = [0] * c.dim
-        for (j, k), cf in sparse[i].items():
-            acc[k] = (acc[k] + cf * c.counit[j]) % p
-        if any(acc[t] != (1 if t == i else 0) for t in range(c.dim)):
-            witness = c.labels[i]
-            break
-    checks.append(CheckResult("counit_left", witness is None, witness))
-
-    witness = None
-    for i in range(c.dim):
-        acc = [0] * c.dim
-        for (j, k), cf in sparse[i].items():
-            acc[j] = (acc[j] + cf * c.counit[k]) % p
-        if any(acc[t] != (1 if t == i else 0) for t in range(c.dim)):
-            witness = c.labels[i]
-            break
-    checks.append(CheckResult("counit_right", witness is None, witness))
-
+    for name, witness in (
+        ("coassociativity", _coassociativity_witness(c.labels, c.delta, c.delta, c.delta, c.p)),
+        ("counit_left", _counit_witness(c.labels, c.delta, c.counit, c.p, keep_slot=1)),
+        ("counit_right", _counit_witness(c.labels, c.delta, c.counit, c.p, keep_slot=0)),
+    ):
+        checks.append(CheckResult(name, witness is None, witness))
     return ValidationReport("coalgebra", tuple(checks))
 
 
@@ -259,12 +280,7 @@ def is_grouplike(c: Coalgebra, v: Vector) -> bool:
         raise ShapeError("vector length does not match the coalgebra dimension")
     if sum(a * b for a, b in zip(c.counit, v)) % p != 1:
         return False
-    support = [(i, vi) for i, vi in enumerate(v) if vi]
-    dv: dict[tuple[int, int], int] = {}
-    for i, vi in support:
-        for j, k, coeff in c.delta[i]:
-            _add_mod(dv, (j, k), vi * coeff, p)
-    return dv == {(i, k): vi * vk % p for i, vi in support for k, vk in support}
+    return _coacts_as(c.delta, v, v, p)
 
 
 def find_grouplikes(
@@ -480,7 +496,7 @@ def f1_decomposition(c: Coalgebra, g: GroupLikeSet) -> F1DecompositionReport:
     for g_vec in g:
         pg = primitives_at(c, g_vec)
         prim_dims.append(pg.dim)
-        qg = Subspace.from_vectors(c.p, q.nrows, [q.matvec(b) for b in pg.basis_vectors()])
+        qg = image(q, pg)
         mod_dims.append(qg.dim)
         mod_sum += qg.dim
         total_mod = total_mod.add(qg)

@@ -29,12 +29,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
 
 from .coalgebra import (
     Coalgebra,
     Filtration,
     GroupLikeSet,
+    _coacts_as,
+    _coassociativity_witness,
+    _counit_witness,
+    _normalize_triples,
     coradical_filtration_wedge,
     is_grouplike,
 )
@@ -66,17 +69,6 @@ PsiTriples = tuple[tuple[int, int, int], ...]
 ProductTable = tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
 
 
-def _normalize_psi(
-    triples: Iterable[Sequence[int]], p: int, first_dim: int, second_dim: int
-) -> PsiTriples:
-    acc: dict[tuple[int, int], int] = {}
-    for a, k, coeff in triples:
-        if not (0 <= a < first_dim and 0 <= k < second_dim):
-            raise ShapeError(f"coaction index out of range: ({a}, {k})")
-        _add_mod(acc, (a, k), coeff, p)
-    return tuple((a, k, c) for (a, k), c in sorted(acc.items()))
-
-
 @dataclass(frozen=True)
 class Comodule:
     """A right comodule over ``over`` given by coaction structure constants."""
@@ -94,7 +86,7 @@ class Comodule:
         object.__setattr__(
             self,
             "psi",
-            tuple(_normalize_psi(t, self.over.p, self.dim, self.over.dim) for t in self.psi),
+            tuple(_normalize_triples(t, self.over.p, self.dim, self.over.dim) for t in self.psi),
         )
 
     @property
@@ -191,7 +183,7 @@ class LeftComodule:
         object.__setattr__(
             self,
             "psi",
-            tuple(_normalize_psi(t, self.over.p, self.over.dim, self.dim) for t in self.psi),
+            tuple(_normalize_triples(t, self.over.p, self.over.dim, self.dim) for t in self.psi),
         )
 
     @property
@@ -221,33 +213,13 @@ class LeftComodule:
         return cls(sigma, len(g), labels, tuple(triples))
 
     def validate(self) -> ValidationReport:
+        c = self.over
         checks = []
-        p = self.p
-        s = self.over.dim
-        sparse = [{(k, b): c for k, b, c in t} for t in self.psi]
-        dsp = self.over.delta_sparse()
-        witness = None
-        for j in range(self.dim):
-            acc = [0] * self.dim
-            for (k, b), cf in sparse[j].items():
-                acc[b] = (acc[b] + cf * self.over.counit[k]) % p
-            if any(acc[t] != (1 if t == j else 0) for t in range(self.dim)):
-                witness = self.labels[j]
-                break
-        checks.append(CheckResult("counit", witness is None, witness))
-        witness = None
-        for j in range(self.dim):
-            left: dict[tuple[int, int, int], int] = {}
-            right: dict[tuple[int, int, int], int] = {}
-            for (k, b), cf in sparse[j].items():
-                for (x, y), cf2 in dsp[k].items():
-                    _add_mod(left, (x, y, b), cf * cf2, p)
-                for (k2, b2), cf2 in sparse[b].items():
-                    _add_mod(right, (k, k2, b2), cf * cf2, p)
-            if left != right:
-                witness = self.labels[j]
-                break
-        checks.append(CheckResult("coassociativity", witness is None, witness))
+        for name, witness in (
+            ("counit", _counit_witness(self.labels, self.psi, c.counit, self.p, keep_slot=1)),
+            ("coassociativity", _coassociativity_witness(self.labels, self.psi, c.delta, self.psi, self.p)),
+        ):
+            checks.append(CheckResult(name, witness is None, witness))
         return ValidationReport("left comodule", tuple(checks))
 
 
@@ -300,19 +272,8 @@ class ComoduleAlgebra:
 
     def unit_grouplike_index(self) -> int | None:
         """The index w with psi(unit) = unit (x) g_w, or None if there is none."""
-        p = self.p
-        psi_eta: dict[tuple[int, int], int] = {}
-        for i, x in enumerate(self.unit):
-            if x:
-                for a, k, c in self.base.psi[i]:
-                    _add_mod(psi_eta, (a, k), x * c, p)
         for idx, g in enumerate(self.grouplikes):
-            outer = {
-                (i, k): x * y % p
-                for i, x in enumerate(self.unit) if x
-                for k, y in enumerate(g) if y
-            }
-            if psi_eta == outer:
+            if _coacts_as(self.base.psi, self.unit, g, self.p):
                 return idx
         return None
 
@@ -358,33 +319,11 @@ class ComoduleMap:
 def validate_comodule(m: Comodule) -> ValidationReport:
     """Counit and coassociativity of the coaction, with basis-label witnesses."""
     checks = []
-    p = m.p
-    sparse = m.psi_sparse()
-    dsp = m.over.delta_sparse()
-
-    witness = None
-    for i in range(m.dim):
-        acc = [0] * m.dim
-        for (a, k), cf in sparse[i].items():
-            acc[a] = (acc[a] + cf * m.over.counit[k]) % p
-        if any(acc[t] != (1 if t == i else 0) for t in range(m.dim)):
-            witness = m.labels[i]
-            break
-    checks.append(CheckResult("counit", witness is None, witness))
-
-    witness = None
-    for i in range(m.dim):
-        left: dict[tuple[int, int, int], int] = {}
-        right: dict[tuple[int, int, int], int] = {}
-        for (a, k), cf in sparse[i].items():
-            for (b, l), cf2 in sparse[a].items():
-                _add_mod(left, (b, l, k), cf * cf2, p)
-            for (j, k2), cf2 in dsp[k].items():
-                _add_mod(right, (a, j, k2), cf * cf2, p)
-        if left != right:
-            witness = m.labels[i]
-            break
-    checks.append(CheckResult("coassociativity", witness is None, witness))
+    for name, witness in (
+        ("counit", _counit_witness(m.labels, m.psi, m.over.counit, m.p, keep_slot=0)),
+        ("coassociativity", _coassociativity_witness(m.labels, m.psi, m.psi, m.over.delta, m.p)),
+    ):
+        checks.append(CheckResult(name, witness is None, witness))
     return ValidationReport("comodule", tuple(checks))
 
 
@@ -417,7 +356,6 @@ def validate_comodule_algebra(ma: ComoduleAlgebra) -> ValidationReport:
     checks: list[CheckResult] = []
     p = ma.p
     m = ma.dim
-    s = ma.sigma.dim
 
     base_report = validate_comodule(ma.base)
     checks.append(
@@ -455,16 +393,9 @@ def validate_comodule_algebra(ma: ComoduleAlgebra) -> ValidationReport:
                 witness = f"grouplike {idx}"
     checks.append(CheckResult("action_invertible", witness is None, witness))
 
-    psi_m = ma.base.psi_matrix()
-
     witness = None
     for idx, g in enumerate(ma.grouplikes):
-        gm = ma.action[idx].matvec(ma.unit)
-        expected = [0] * (m * s)
-        for i in range(m):
-            for k in range(s):
-                expected[i * s + k] = (gm[i] * g[k]) % p
-        if list(psi_m.matvec(gm)) != expected:
+        if not _coacts_as(ma.base.psi, ma.action[idx].matvec(ma.unit), g, p):
             witness = f"grouplike {idx}"
             break
     checks.append(CheckResult("grouplikes_stay_grouplike", witness is None, witness))
@@ -472,6 +403,7 @@ def validate_comodule_algebra(ma: ComoduleAlgebra) -> ValidationReport:
     if ma.sigma_action is not None:
         # With left multiplication on the over-coalgebra known, the
         # multiplicativity identity and the true group table are checkable.
+        psi_m = ma.base.psi_matrix()
         witness = None
         for idx in range(len(ma.grouplikes)):
             lhs = psi_m @ ma.action[idx]
@@ -525,7 +457,7 @@ def validate_comodule_algebra(ma: ComoduleAlgebra) -> ValidationReport:
         witness = None
         for idx, g in enumerate(ma.grouplikes):
             pg = comodule_primitives_at(ma.base, g)
-            if not all(pg.contains(ma.action[idx].matvec(b)) for b in p1.basis_vectors()):
+            if not pg.contains_subspace(image(ma.action[idx], p1)):
                 witness = f"grouplike {idx}"
                 break
         checks.append(CheckResult("action_sends_unit_primitives_to_g_primitives", witness is None, witness))

@@ -63,13 +63,14 @@ def _require(doc: dict, key: str, path: str):
 
 
 def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+    # JSON yields no int subclass but bool, so this refuses exactly the bools.
+    return type(x) is int
 
 
 def _typed(doc: dict, key: str, kind: type, path: str):
     """doc[key], which must be present and of the given JSON kind."""
     val = _require(doc, key, path)
-    if not (_is_int(val) if kind is int else isinstance(val, kind)):
+    if type(val) is not kind:
         raise ParseError(f"{path}: {key!r} must be of type {kind.__name__}")
     return val
 
@@ -87,7 +88,7 @@ def _triples_from(entries, index_a: dict, index_b: dict, path: str, what: str):
     if not isinstance(entries, list):
         raise ParseError(f"{path}: {what} entries must be lists")
     for entry in entries:
-        if not (isinstance(entry, list) and len(entry) == 3 and _is_int(entry[2])):
+        if not (isinstance(entry, list) and tuple(map(type, entry)) == (str, str, int)):
             raise ParseError(f"{path}: bad {what} entry {entry!r}")
         a, b, coeff = entry
         if a not in index_a or b not in index_b:
@@ -97,7 +98,7 @@ def _triples_from(entries, index_a: dict, index_b: dict, path: str, what: str):
 
 
 def _int_vector(raw, dim: int, path: str, what: str) -> tuple[int, ...]:
-    if not (isinstance(raw, list) and len(raw) == dim and all(_is_int(x) for x in raw)):
+    if not (isinstance(raw, list) and len(raw) == dim and {int}.issuperset(map(type, raw))):
         raise ParseError(f"{path}: {what} must be a list of {dim} integers")
     return tuple(raw)
 
@@ -106,7 +107,7 @@ def _int_matrix(raw, p: int, nrows: int, ncols: int, path: str, what: str) -> Fi
     if not (isinstance(raw, list) and len(raw) == nrows):
         raise ParseError(f"{path}: {what} must have {nrows} rows")
     for row in raw:
-        if not (isinstance(row, list) and len(row) == ncols and all(_is_int(x) for x in row)):
+        if not (isinstance(row, list) and len(row) == ncols and {int}.issuperset(map(type, row))):
             raise ParseError(f"{path}: {what} rows must be lists of {ncols} integers")
     return FieldMatrix(p, raw, ncols=ncols)
 
@@ -159,7 +160,9 @@ def coalgebra_to_doc(c: Coalgebra) -> dict:
     return doc
 
 
-def _resolve(base_path: str, ref: str) -> str:
+def _resolve(base_path: str, ref) -> str:
+    if not isinstance(ref, str):
+        raise ParseError(f"{base_path}: file references must be strings, got {ref!r}")
     return os.path.join(os.path.dirname(os.path.abspath(base_path)), ref)
 
 
@@ -245,8 +248,10 @@ def map_to_doc(f: ComoduleMap, source_ref: str, target_ref: str) -> dict:
 
 
 def load_certificate(path: str) -> SplittingCertificate:
-    """Read a certificate file.  Only its form is checked here; whether its
-    claims hold is for recheck_certificate to decide."""
+    """Read a certificate file.  Only its form is checked here, including
+    that the redundant fields (p1_dim, the star report's ok) agree with the
+    rest of the file; whether its claims hold is for recheck_certificate to
+    decide."""
     doc = _load_json(path)
     p = _typed(doc, "p", int, path)
     if not _is_prime(p):
@@ -255,6 +260,9 @@ def load_certificate(path: str) -> SplittingCertificate:
     ambient = _typed(doc, "p1_ambient_dim", int, path)
     rows = _typed(doc, "h", list, path)
     basis = [_int_vector(v, ambient, path, "p1_basis vector") for v in _typed(doc, "p1_basis", list, path)]
+    p1_basis = Subspace.from_vectors(p, ambient, basis)
+    if not len(basis) == p1_basis.dim == _typed(doc, "p1_dim", int, path):
+        raise ParseError(f"{path}: p1_dim does not match the stored p1_basis")
     star = _typed(doc, "star_report", dict, path)
     levels = _typed(star, "levels", list, path)
     if not all(isinstance(lv, dict) for lv in levels):
@@ -262,28 +270,31 @@ def load_certificate(path: str) -> SplittingCertificate:
     equivariance_ok = star.get("equivariance_ok")
     if equivariance_ok is not None:
         equivariance_ok = _typed(star, "equivariance_ok", bool, path)
+    star_report = StarReport(
+        rank=_typed(star, "rank", int, path),
+        target_dim=_typed(star, "target_dim", int, path),
+        surjective=_typed(star, "surjective", bool, path),
+        unit_ok=_typed(star, "unit_ok", bool, path),
+        equivariance_ok=equivariance_ok,
+        strict=_typed(star, "strict", bool, path),
+        levels=tuple(
+            StarLevelResult(
+                level=_typed(lv, "level", int, path),
+                ok=_typed(lv, "ok", bool, path),
+                source_dim=_typed(lv, "source_dim", int, path),
+                target_dim=_typed(lv, "target_dim", int, path),
+            )
+            for lv in levels
+        ),
+    )
+    if _typed(star, "ok", bool, path) != star_report.ok:
+        raise ParseError(f"{path}: star_report ok contradicts the report's own fields")
     return SplittingCertificate(
         h_matrix=_int_matrix(rows, p, len(rows), dim_m, path, "h"),
-        p1_basis=Subspace.from_vectors(p, ambient, basis),
+        p1_basis=p1_basis,
         rank=_typed(doc, "rank", int, path),
         comodule_residual_zero=_typed(doc, "comodule_residual_zero", bool, path),
-        star_report=StarReport(
-            rank=_typed(star, "rank", int, path),
-            target_dim=_typed(star, "target_dim", int, path),
-            surjective=_typed(star, "surjective", bool, path),
-            unit_ok=_typed(star, "unit_ok", bool, path),
-            equivariance_ok=equivariance_ok,
-            strict=_typed(star, "strict", bool, path),
-            levels=tuple(
-                StarLevelResult(
-                    level=_typed(lv, "level", int, path),
-                    ok=_typed(lv, "ok", bool, path),
-                    source_dim=_typed(lv, "source_dim", int, path),
-                    target_dim=_typed(lv, "target_dim", int, path),
-                )
-                for lv in levels
-            ),
-        ),
+        star_report=star_report,
     )
 
 

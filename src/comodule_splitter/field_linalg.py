@@ -11,6 +11,16 @@ entries are 1, pivot columns are cleared above and below, and rows are
 ordered by pivot column.  Equal subspaces therefore have identical
 representations, and subspace equality is a tuple comparison.
 
+Each operation has one implementation.  ``_insert_row`` is the echelon
+step, and ``_echelon`` spans a list of rows with it; ``rank``, ``rref``,
+``row_space`` and the ``Subspace`` constructor call it.  ``solve`` and
+``intersect`` eliminate augmented rows [a | b], which ``_join`` and
+``_right`` build and split: those two helpers are the only place where the
+augmented layout depends on p.  ``inverse`` is ``solve`` against the
+identity, ``image`` is a product with the transpose, ``Subspace.tensor`` is
+``kron`` of the two bases, and ``kernel_from_sparse_cols`` is the one kernel
+routine.
+
 Tensor index convention used by the whole package: the basis vector
 e_i (x) e_j of F^m (x) F^n sits at position i * n + j.  ``FieldMatrix.kron``
 and ``Subspace.tensor`` both follow it.
@@ -126,6 +136,25 @@ def _insert_row(p: int, ncols: int, rows: list, pivots: list[int], row) -> bool:
     rows.insert(pos, vt)
     pivots.insert(pos, lead)
     return True
+
+
+def _echelon(p: int, ncols: int, rows: Iterable) -> tuple[tuple, tuple[int, ...]]:
+    """Canonical RREF rows and pivots of the span of internal-form rows."""
+    out: list = []
+    pivots: list[int] = []
+    for r in rows:
+        _insert_row(p, ncols, out, pivots, r)
+    return tuple(out), tuple(pivots)
+
+
+def _join(p: int, a, b, n: int):
+    """The internal row [a | b] for a row a of width n."""
+    return a | (b << n) if p == 2 else a + b
+
+
+def _right(p: int, row, n: int):
+    """The part of an internal row after its first n entries."""
+    return row >> n if p == 2 else row[n:]
 
 
 class FieldMatrix:
@@ -343,7 +372,11 @@ class FieldMatrix:
         return tuple(sum(x * y for x, y in zip(r, v)) % p for r in self._rows)
 
     def transpose(self) -> "FieldMatrix":
-        return FieldMatrix.from_cols(self.p, [self.row(i) for i in range(self.nrows)], nrows=self.ncols)
+        if self.p == 2:
+            rows = tuple(self.packed_cols())
+        else:
+            rows = tuple(self.col(j) for j in range(self.ncols))
+        return FieldMatrix._raw(self.p, self.ncols, self.nrows, rows)
 
     def vstack(self, other: "FieldMatrix") -> "FieldMatrix":
         if self.p != other.p or self.ncols != other.ncols:
@@ -385,30 +418,15 @@ class FieldMatrix:
 
     def rref(self) -> "FieldMatrix":
         """The unique reduced row echelon form, same shape, zero rows at the bottom."""
-        rows: list = []
-        pivots: list[int] = []
-        for r in self._rows:
-            _insert_row(self.p, self.ncols, rows, pivots, r)
-        pad = self.nrows - len(rows)
-        if self.p == 2:
-            full = tuple(rows) + (0,) * pad
-        else:
-            full = tuple(rows) + ((0,) * self.ncols,) * pad
-        return FieldMatrix._raw(self.p, self.nrows, self.ncols, full)
+        rows, _ = _echelon(self.p, self.ncols, self._rows)
+        pad = FieldMatrix.zeros(self.p, self.nrows - len(rows), self.ncols)._rows
+        return FieldMatrix._raw(self.p, self.nrows, self.ncols, rows + pad)
 
     def rank(self) -> int:
-        rows: list = []
-        pivots: list[int] = []
-        for r in self._rows:
-            _insert_row(self.p, self.ncols, rows, pivots, r)
-        return len(rows)
+        return len(_echelon(self.p, self.ncols, self._rows)[0])
 
     def row_space(self) -> "Subspace":
-        rows: list = []
-        pivots: list[int] = []
-        for r in self._rows:
-            _insert_row(self.p, self.ncols, rows, pivots, r)
-        return Subspace._raw(self.p, self.ncols, tuple(rows), tuple(pivots))
+        return Subspace._raw(self.p, self.ncols, *_echelon(self.p, self.ncols, self._rows))
 
     def column_space(self) -> "Subspace":
         return self.transpose().row_space()
@@ -427,48 +445,27 @@ class FieldMatrix:
             raise ShapeError("mixed characteristics")
         if self.nrows != rhs.nrows:
             raise ShapeError("solve needs matching row counts")
-        nA, nB = self.ncols, rhs.ncols
-        rows: list = []
-        pivots: list[int] = []
-        if self.p == 2:
-            for a, b in zip(self._rows, rhs._rows):
-                _insert_row(2, nA + nB, rows, pivots, a | (b << nA))
-        else:
-            for i in range(self.nrows):
-                _insert_row(self.p, nA + nB, rows, pivots, self._rows[i] + rhs._rows[i])
-        if any(pv >= nA for pv in pivots):
+        p, nA, nB = self.p, self.ncols, rhs.ncols
+        joined = [_join(p, a, b, nA) for a, b in zip(self._rows, rhs._rows)]
+        rows, pivots = _echelon(p, nA + nB, joined)
+        if pivots and pivots[-1] >= nA:
             return None
-        out = FieldMatrix.zeros(self.p, nA, nB)
-        xrows = list(out._rows)
-        mask = (1 << nB) - 1
-        for t, pv in enumerate(pivots):
-            if self.p == 2:
-                xrows[pv] = (rows[t] >> nA) & mask
-            else:
-                xrows[pv] = rows[t][nA:]
-        return FieldMatrix._raw(self.p, nA, nB, tuple(xrows))
+        xrows = list(FieldMatrix.zeros(p, nA, nB)._rows)
+        for r, pv in zip(rows, pivots):
+            xrows[pv] = _right(p, r, nA)
+        return FieldMatrix._raw(p, nA, nB, tuple(xrows))
 
     def inverse(self) -> "FieldMatrix":
-        """Inverse of a square matrix; raises ShapeError when singular."""
-        n = self.nrows
-        if n != self.ncols:
+        """Inverse of a square matrix; raises ShapeError when singular.
+
+        For square A, A X = I is solvable exactly when A is invertible, and
+        then X is unique."""
+        if self.nrows != self.ncols:
             raise ShapeError("only square matrices can be inverted")
-        rows: list = []
-        pivots: list[int] = []
-        ident = FieldMatrix.identity(self.p, n)
-        if self.p == 2:
-            for a, b in zip(self._rows, ident._rows):
-                _insert_row(2, 2 * n, rows, pivots, a | (b << n))
-        else:
-            for i in range(n):
-                _insert_row(self.p, 2 * n, rows, pivots, self._rows[i] + ident._rows[i])
-        if pivots[:n] != list(range(n)) or len(pivots) < n:
+        inv = self.solve(FieldMatrix.identity(self.p, self.nrows))
+        if inv is None:
             raise ShapeError("matrix is singular")
-        if self.p == 2:
-            inv_rows = tuple(r >> n for r in rows[:n])
-        else:
-            inv_rows = tuple(r[n:] for r in rows[:n])
-        return FieldMatrix._raw(self.p, n, n, inv_rows)
+        return inv
 
 
 def kernel_from_sparse_cols(p: int, ncols: int, cols: Sequence) -> "Subspace":
@@ -531,19 +528,14 @@ class Subspace:
     __slots__ = ("p", "ambient_dim", "_rows", "_pivots")
 
     def __init__(self, p: int, ambient_dim: int, vectors: Iterable[Vector] = ()):
-        rows: list = []
-        pivots: list[int] = []
+        rows = []
         for v in vectors:
             if len(v) != ambient_dim:
                 raise ShapeError(f"vector has length {len(v)}, expected {ambient_dim}")
-            if p == 2:
-                _insert_row(2, ambient_dim, rows, pivots, _pack(v))
-            else:
-                _insert_row(p, ambient_dim, rows, pivots, _tuple_mod(v, p))
+            rows.append(_pack(v) if p == 2 else _tuple_mod(v, p))
         self.p = p
         self.ambient_dim = ambient_dim
-        self._rows = tuple(rows)
-        self._pivots = tuple(pivots)
+        self._rows, self._pivots = _echelon(p, ambient_dim, rows)
 
     @classmethod
     def _raw(cls, p: int, ambient_dim: int, rows: tuple, pivots: tuple) -> "Subspace":
@@ -666,30 +658,12 @@ class Subspace:
         right half span the intersection."""
         if self.p != other.p or self.ambient_dim != other.ambient_dim:
             raise ShapeError("subspaces live in different ambient spaces")
-        n = self.ambient_dim
-        rows: list = []
-        pivots: list[int] = []
-        if self.p == 2:
-            for a in self._rows:
-                _insert_row(2, 2 * n, rows, pivots, a | (a << n))
-            for b in other._rows:
-                _insert_row(2, 2 * n, rows, pivots, b)
-            vecs = [r >> n for t, r in zip(pivots, rows) if t >= n]
-            out_rows: list = []
-            out_pivots: list[int] = []
-            for v in vecs:
-                _insert_row(2, n, out_rows, out_pivots, v)
-            return Subspace._raw(2, n, tuple(out_rows), tuple(out_pivots))
-        for a in self._rows:
-            _insert_row(self.p, 2 * n, rows, pivots, a + a)
-        for b in other._rows:
-            _insert_row(self.p, 2 * n, rows, pivots, b + (0,) * n)
-        vecs = [r[n:] for t, r in zip(pivots, rows) if t >= n]
-        out: list = []
-        outp: list[int] = []
-        for v in vecs:
-            _insert_row(self.p, n, out, outp, v)
-        return Subspace._raw(self.p, n, tuple(out), tuple(outp))
+        p, n = self.p, self.ambient_dim
+        zero = FieldMatrix.zeros(p, 1, n)._rows[0]
+        joined = [_join(p, a, a, n) for a in self._rows] + [_join(p, b, zero, n) for b in other._rows]
+        rows, pivots = _echelon(p, 2 * n, joined)
+        right = [_right(p, r, n) for t, r in zip(pivots, rows) if t >= n]
+        return Subspace._raw(p, n, *_echelon(p, n, right))
 
     def tensor(self, other: "Subspace") -> "Subspace":
         """The subspace self (x) other of F^(m*n).
@@ -698,36 +672,10 @@ class Subspace:
         basis (pivot of a_i (x) b_j is pivot(a_i)*n + pivot(b_j)), so no
         elimination is needed.
         """
-        if self.p != other.p:
-            raise ShapeError("mixed characteristics")
+        m = self.basis_matrix().kron(other.basis_matrix())
         n = other.ambient_dim
-        amb = self.ambient_dim * n
-        rows: list = []
-        pivots: list[int] = []
-        if self.p == 2:
-            for a, pa in zip(self._rows, self._pivots):
-                for b, pb in zip(other._rows, other._pivots):
-                    acc = 0
-                    t = a
-                    while t:
-                        s = (t & -t).bit_length() - 1
-                        acc |= b << (s * n)
-                        t &= t - 1
-                    rows.append(acc)
-                    pivots.append(pa * n + pb)
-        else:
-            for a, pa in zip(self._rows, self._pivots):
-                for b, pb in zip(other._rows, other._pivots):
-                    acc = [0] * amb
-                    for s, x in enumerate(a):
-                        if x:
-                            off = s * n
-                            for j, y in enumerate(b):
-                                if y:
-                                    acc[off + j] = (x * y) % self.p
-                    rows.append(tuple(acc))
-                    pivots.append(pa * n + pb)
-        return Subspace._raw(self.p, amb, tuple(rows), tuple(pivots))
+        pivots = tuple(pa * n + pb for pa in self._pivots for pb in other._pivots)
+        return Subspace._raw(self.p, m.ncols, m._rows, pivots)
 
     def quotient_matrix(self) -> FieldMatrix:
         """Matrix of the quotient map F^n -> F^n / self.
@@ -779,12 +727,10 @@ def preimage(m: FieldMatrix, s: Subspace) -> Subspace:
 def image(m: FieldMatrix, s: Subspace | None = None) -> Subspace:
     """Image of a subspace (default: the whole domain) under m."""
     if s is None:
-        vecs = [m.col(j) for j in range(m.ncols)]
-    else:
-        if s.ambient_dim != m.ncols:
-            raise ShapeError("subspace must live in the domain of the matrix")
-        vecs = [m.matvec(b) for b in s.basis_vectors()]
-    return Subspace.from_vectors(m.p, m.nrows, vecs)
+        return m.column_space()
+    if s.ambient_dim != m.ncols:
+        raise ShapeError("subspace must live in the domain of the matrix")
+    return (s.basis_matrix() @ m.transpose()).row_space()
 
 
 # -- staircase tensor sums ----------------------------------------------------

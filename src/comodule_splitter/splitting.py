@@ -46,7 +46,7 @@ from .errors import (
     HypothesisNotMet,
     ShapeError,
 )
-from .field_linalg import FieldMatrix, Subspace
+from .field_linalg import FieldMatrix, Subspace, _insert_row
 from .reporting import (
     CheckResult,
     CorpusItemResult,
@@ -62,18 +62,15 @@ def retraction_onto(s: Subspace) -> FieldMatrix:
     basis vectors (lowest index first) to a basis of the ambient space,
     invert, and keep the rows indexing s."""
     p, n, d = s.p, s.ambient_dim, s.dim
-    cols = list(s.basis_vectors())
-    span = s
-    for i in range(n):
-        if len(cols) == n:
+    rows, pivots = list(s._rows), list(s._pivots)
+    basis = list(s._rows)
+    for e_i in FieldMatrix.identity(p, n)._rows:
+        if len(rows) == n:
             break
-        e_i = tuple(1 if t == i else 0 for t in range(n))
-        if not span.contains(e_i):
-            cols.append(e_i)
-            span = span.add(Subspace.from_vectors(p, n, [e_i]))
-    q = FieldMatrix.from_cols(p, cols, nrows=n)
-    q_inv = q.inverse()
-    return FieldMatrix(p, q_inv.rows_as_lists()[:d], ncols=n)
+        if _insert_row(p, n, rows, pivots, e_i):
+            basis.append(e_i)
+    q_inv = FieldMatrix._raw(p, n, n, tuple(basis)).transpose().inverse()
+    return FieldMatrix._raw(p, d, n, q_inv._rows[:d])
 
 
 def _p1(ma: ComoduleAlgebra) -> Subspace:
@@ -229,7 +226,22 @@ def recheck_certificate(
     if sigma_filt is None:
         sigma_filt = coradical_filtration_wedge(ma.sigma, ma.grouplikes)
     star = check_star_surjective(ma, f, strict=cert.star_report.strict, sigma_filt=sigma_filt)
-    checks.append(CheckResult("hypothesis_star_surjective", star.ok, star.first_failure()))
+    stored = cert.star_report.to_json_dict()
+    mismatch = next(
+        (
+            f"stored star_report {key} does not match the recomputed value"
+            for key, value in star.to_json_dict().items()
+            if stored[key] != value
+        ),
+        None,
+    )
+    checks.append(
+        CheckResult(
+            "hypothesis_star_surjective",
+            star.ok and mismatch is None,
+            star.first_failure() or mismatch,
+        )
+    )
 
     p1 = _p1(ma)
     checks.append(

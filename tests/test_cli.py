@@ -95,6 +95,40 @@ def test_parse_and_usage_errors_exit_2(capsys, tmp_path, corpus_dir):
     assert _run(capsys)[0] == 2
     assert _run(capsys, "split", files["comodule"], files["map"])[0] == 2
 
+    # Non-string file references and list-valued labels are refused, not
+    # tracebacks from os.path.join or an unhashable dict key.
+    with open(files["comodule"], encoding="utf-8") as fh:
+        comodule = json.load(fh)
+    with open(files["sigma"], encoding="utf-8") as fh:
+        sigma = json.load(fh)
+    label = sigma["basis"][0]
+    with open(files["map"], encoding="utf-8") as fh:
+        map_doc = json.load(fh)
+    with open(files["bundle"], encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    comodule_label = comodule["basis"][0]
+    malformed = {
+        "over_int.json": dict(comodule, over=123),
+        "source_int.json": dict(map_doc, source=5),
+        "delta_list_label.json": dict(sigma, delta={label: [[[label], label, 1]]}),
+        "psi_list_label.json": dict(
+            comodule, over=files["sigma"], psi={comodule_label: [[comodule_label, [label], 1]]}
+        ),
+    }
+    for name, doc in malformed.items():
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        code, out, err = _run(capsys, "validate", str(path))
+        assert code == 2, name
+        assert err.startswith("error: ParseError") and err.count("\n") == 1, (name, err)
+    for key, value in (("comodule", 7), ("map", ["x"])):
+        bad = tmp_path / f"bundle_{key}.bundle.json"
+        bad.write_text(json.dumps(dict(manifest, **{key: value})))
+        code, _, err = _run(capsys, "corpus", "--dir", str(tmp_path))
+        assert code == 2, key
+        assert err.startswith("error: ParseError") and err.count("\n") == 1, (key, err)
+        bad.unlink()
+
 
 # -- grouplikes ------------------------------------------------------------------------
 
@@ -317,6 +351,75 @@ def test_certify_refuses_mistyped_certificates_with_exit_2(capsys, corpus_dir, t
         del doc["rank"]
 
     for corrupt in (float_h, bool_h, no_rank):
+        doc = json.loads(json.dumps(honest))
+        corrupt(doc)
+        bad = tmp_path / f"{corrupt.__name__}.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = _run(capsys, "certify", str(bad), files["comodule"], files["map"])
+        assert code == 2, corrupt.__name__
+        assert out == ""
+        assert err.startswith("error: ParseError"), err
+
+
+def test_certify_holds_every_stored_claim(capsys, corpus_dir, tmp_path):
+    """Each stored star-report field must equal the recomputed report, and
+    p1_dim must be an int matching the stored basis.  A stored field that
+    disagrees with the recomputation fails hypothesis_star_surjective (exit 1)
+    with a witness naming the field; a file that contradicts itself (p1_dim
+    against p1_basis, ok against the report's own fields) is refused (exit 2)."""
+    files = _bundle_files(corpus_dir, "binomial_2_4_id")
+    cert = str(tmp_path / "cert.json")
+    assert _run(capsys, "split", files["comodule"], files["map"], "--out", cert)[0] == 0
+    with open(cert, encoding="utf-8") as fh:
+        honest = json.load(fh)
+    assert honest["star_report"]["levels"]
+
+    def rank_7(doc):
+        doc["star_report"]["rank"] = 7
+
+    def no_levels(doc):
+        doc["star_report"]["levels"] = []
+
+    def level_source_dim(doc):
+        doc["star_report"]["levels"][0]["source_dim"] += 1
+
+    def not_surjective(doc):
+        doc["star_report"]["surjective"] = False
+        doc["star_report"]["ok"] = False
+
+    expected_witness = {
+        rank_7: "rank",
+        no_levels: "levels",
+        level_source_dim: "levels",
+        not_surjective: "ok",
+    }
+    for corrupt, field in expected_witness.items():
+        doc = json.loads(json.dumps(honest))
+        corrupt(doc)
+        bad = tmp_path / f"{corrupt.__name__}.json"
+        bad.write_text(json.dumps(doc))
+        code, out, _ = _run(capsys, "certify", str(bad), files["comodule"], files["map"])
+        assert code == 1, corrupt.__name__
+        checks = json.loads(out)["checks"]
+        assert [c["name"] for c in checks if not c["passed"]] == ["hypothesis_star_surjective"]
+        assert checks[0]["witness"] == f"stored star_report {field} does not match the recomputed value"
+
+    def only_ok_false(doc):
+        doc["star_report"]["ok"] = False
+
+    def only_surjective_false(doc):
+        doc["star_report"]["surjective"] = False
+
+    def p1_dim_999(doc):
+        doc["p1_dim"] = 999
+
+    def p1_dim_str(doc):
+        doc["p1_dim"] = "x"
+
+    def no_ok(doc):
+        del doc["star_report"]["ok"]
+
+    for corrupt in (only_ok_false, only_surjective_false, p1_dim_999, p1_dim_str, no_ok):
         doc = json.loads(json.dumps(honest))
         corrupt(doc)
         bad = tmp_path / f"{corrupt.__name__}.json"

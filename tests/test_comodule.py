@@ -12,6 +12,7 @@ import random
 import pytest
 
 from comodule_splitter.coalgebra import (
+    Coalgebra,
     GroupLikeSet,
     _coradical_span,
     coradical_filtration_direct,
@@ -551,6 +552,24 @@ def test_left_comodule_constructors_validate():
               LeftComodule.coradical(sigma, g),
               LeftComodule.grouplike_line(sigma, g.vectors[1])):
         n.validate()
+
+
+def test_left_comodule_validate_names_its_witnesses():
+    """Over F_3[C_2]^* (grouplike basis e0, e1), N = span(a, b) with
+    psi(a) = e1 (x) a.  The labels of N and of Sigma do not line up, so a
+    slot mix-up in the shared validator helpers fails the honest case."""
+    sigma = Coalgebra(3, 2, ("e0", "e1"), (((0, 0, 1),), ((1, 1, 1),)), (1, 1))
+
+    def checks(psi_b):
+        n = LeftComodule(sigma, 2, ("a", "b"), (((1, 0, 1),), psi_b))
+        return {c.name: (c.passed, c.witness) for c in n.validate().checks}
+
+    # psi(b) = e0 (x) b: an honest left comodule.
+    assert checks(((0, 1, 1),)) == {"counit": (True, None), "coassociativity": (True, None)}
+    # psi(b) = 0: coassociative, but the counit does not give b back.
+    assert checks(()) == {"counit": (False, "b"), "coassociativity": (True, None)}
+    # psi(b) = 2 e0 (x) b - e1 (x) b: counital, but not coassociative.
+    assert checks(((0, 1, 2), (1, 1, 2))) == {"counit": (True, None), "coassociativity": (False, "b")}
 
 
 def test_trivial_comodule():
