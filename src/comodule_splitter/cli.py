@@ -46,6 +46,7 @@ from .comodule import (
 )
 from .definitions import (
     _load_json,
+    _one_load_per_file,
     load_bundle,
     load_certificate,
     load_coalgebra,
@@ -403,7 +404,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        with _one_load_per_file():
+            return args.func(args)
     except (ParseError, UnsupportedLevel) as exc:
         return _fail(exc, 2)
     except OSError as exc:

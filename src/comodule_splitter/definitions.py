@@ -21,12 +21,23 @@ the validators, not here.  Writers emit every label explicitly and leave
 ordering to the JSON serializer, so a write/load round trip reproduces the
 in-memory object exactly, minus the fields files do not carry (product
 tables and sigma-side action matrices).
+
+Each file is read once per command.  While the CLI runs one command,
+load_coalgebra and load_comodule return the object read the first time for
+a path they have already loaded: a map whose source is the command's
+comodule file gets that very comodule, and Sigma is parsed once however
+many documents name it.  The memo ends with the command, so the next one
+reads the files afresh; called outside the CLI, the loaders read the file
+on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 from .coalgebra import Coalgebra, GroupLikeSet, find_grouplikes
 from .comodule import Comodule, ComoduleAlgebra, ComoduleMap
@@ -48,6 +59,38 @@ def _load_json(path: str) -> dict:
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
     return doc
+
+
+# Definitions loaded by the running command, keyed by loader and absolute
+# path; None outside _one_load_per_file, where nothing is memoized.
+_loaded: ContextVar[dict | None] = ContextVar("loaded_definitions", default=None)
+
+
+@contextmanager
+def _one_load_per_file():
+    """Memoize the loaders for the duration of the block (one CLI command)."""
+    token = _loaded.set({})
+    try:
+        yield
+    finally:
+        _loaded.reset(token)
+
+
+def _once_per_command(load):
+    """Inside _one_load_per_file, return what ``load`` gave for the same file
+    before.  A load that raises stores nothing, so the error repeats."""
+
+    @functools.wraps(load)
+    def memo_load(path: str):
+        memo = _loaded.get()
+        if memo is None:
+            return load(path)
+        key = (load, os.path.abspath(path))
+        if key not in memo:
+            memo[key] = load(path)
+        return memo[key]
+
+    return memo_load
 
 
 def _dump_json(doc: dict, path: str) -> None:
@@ -112,6 +155,7 @@ def _int_matrix(raw, p: int, nrows: int, ncols: int, path: str, what: str) -> Fi
     return FieldMatrix(p, raw, ncols=ncols)
 
 
+@_once_per_command
 def load_coalgebra(path: str) -> Coalgebra:
     doc = _load_json(path)
     p = _require(doc, "p", path)
@@ -166,6 +210,7 @@ def _resolve(base_path: str, ref) -> str:
     return os.path.join(os.path.dirname(os.path.abspath(base_path)), ref)
 
 
+@_once_per_command
 def load_comodule(path: str) -> tuple[Comodule, ComoduleAlgebra | None]:
     """Load a comodule document; the second component is the enriched
     comodule algebra when the document carries unit, augmentation, and

@@ -47,13 +47,23 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+# Byte value -> the ASCII digit of its parity, and ASCII digit -> its bit.
+_PARITY_DIGIT = bytes(48 | (i & 1) for i in range(256))
+_DIGIT_BIT = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def _pack(vec: Vector) -> int:
-    """Pack a 0/1 vector into an int, bit j = entry j."""
-    mask = 0
-    for j, x in enumerate(vec):
-        if x % 2:
-            mask |= 1 << j
-    return mask
+    """Pack a vector into an int, bit j = entry j mod 2.
+
+    The reversed row is read as one binary numeral; entries outside 0..255
+    do not fit a byte and are reduced mod 2 first."""
+    if not vec:
+        return 0
+    try:
+        raw = bytes(vec[::-1])
+    except ValueError:
+        raw = bytes([x & 1 for x in vec[::-1]])
+    return int(raw.translate(_PARITY_DIGIT), 2)
 
 
 def _pack_sparse(col: dict[int, int]) -> int:
@@ -66,7 +76,11 @@ def _pack_sparse(col: dict[int, int]) -> int:
 
 
 def _unpack(mask: int, n: int) -> tuple[int, ...]:
-    return tuple((mask >> j) & 1 for j in range(n))
+    """Bits 0..n-1 of mask as a 0/1 tuple; higher bits are ignored."""
+    if n == 0:
+        return ()
+    digits = format(mask & ((1 << n) - 1), f"0{n}b").encode()
+    return tuple(digits[::-1].translate(_DIGIT_BIT))
 
 
 def _tuple_mod(vec: Vector, p: int) -> tuple[int, ...]:

@@ -22,7 +22,11 @@ reported by the basis label of the first column of M where it shows.
 
 The retraction is pinned down deterministically (extend the echelon basis of
 P(M) by standard basis vectors, lowest index first), so rebuilding from the
-same definition files yields bit-identical certificates.
+same definition files yields bit-identical certificates.  It is computed in
+the equal trailing-pivot form: the extension skips exactly the set D of
+trailing pivots of P(M), so the retraction is (S_D^T)^-1 on the D columns
+and zero elsewhere, with S_D the d x d block of the echelon basis on D.
+That inverts a d x d block, d = dim P(M), not an n x n matrix.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from .errors import (
     HypothesisNotMet,
     ShapeError,
 )
-from .field_linalg import FieldMatrix, Subspace, _insert_row
+from .field_linalg import FieldMatrix, Subspace, _echelon
 from .reporting import (
     CheckResult,
     CorpusItemResult,
@@ -58,19 +62,27 @@ from .reporting import (
 
 def retraction_onto(s: Subspace) -> FieldMatrix:
     """The deterministic retraction onto s, as a dim s x ambient matrix into
-    echelon coordinates of s: extend the echelon basis of s by standard
-    basis vectors (lowest index first) to a basis of the ambient space,
-    invert, and keep the rows indexing s."""
+    echelon coordinates of s.
+
+    By definition: extend the echelon basis of s by standard basis vectors
+    (lowest index first) to a basis of the ambient space, invert, and keep
+    the rows indexing s.  The extension skips e_i exactly when some vector
+    of s has its last nonzero entry at i, so the skipped indices are the
+    trailing pivots D of s, the pivots of its echelon form with the columns
+    reversed.  The kept rows vanish off D, and on D they are (S_D^T)^-1,
+    where S_D is the d x d block of the echelon basis on the columns D.
+    """
     p, n, d = s.p, s.ambient_dim, s.dim
-    rows, pivots = list(s._rows), list(s._pivots)
-    basis = list(s._rows)
-    for e_i in FieldMatrix.identity(p, n)._rows:
-        if len(rows) == n:
-            break
-        if _insert_row(p, n, rows, pivots, e_i):
-            basis.append(e_i)
-    q_inv = FieldMatrix._raw(p, n, n, tuple(basis)).transpose().inverse()
-    return FieldMatrix._raw(p, d, n, q_inv._rows[:d])
+    if p == 2:
+        flipped = (int(format(r, f"0{n}b")[::-1], 2) for r in s._rows)
+    else:
+        flipped = (r[::-1] for r in s._rows)
+    row_of = {n - 1 - pv: t for t, pv in enumerate(_echelon(p, n, flipped)[1])}
+    select = FieldMatrix.from_sparse_cols(
+        p, d, [{row_of[j]: 1} if j in row_of else {} for j in range(n)]
+    )
+    basis_t = FieldMatrix._raw(p, d, n, s._rows).transpose()
+    return (select @ basis_t).inverse() @ select
 
 
 def _p1(ma: ComoduleAlgebra) -> Subspace:
@@ -175,6 +187,18 @@ def _residual_witness(ma: ComoduleAlgebra, h: FieldMatrix, d1: int) -> str | Non
     return None
 
 
+def _bijectivity_witness(ma: ComoduleAlgebra, h: FieldMatrix, rank: int) -> str:
+    """The rank of h against dim M and, when h kills a vector of M, the M
+    basis labels in the support of the first echelon basis vector of its
+    kernel."""
+    witness = f"rank {rank} of {ma.dim}"
+    if h.ncols == ma.dim and rank < ma.dim:
+        v = h.kernel().basis_vectors()[0]
+        labels = ", ".join(ma.base.labels[i] for i, x in enumerate(v) if x)
+        witness += f"; first kernel vector supported on {labels}"
+    return witness
+
+
 def build_h(
     ma: ComoduleAlgebra,
     f: ComoduleMap,
@@ -260,7 +284,9 @@ def recheck_certificate(
     rank = cert.h_matrix.rank()
     rank_ok = rank == ma.dim and rank == cert.h_matrix.nrows
     checks.append(
-        CheckResult("h_bijective", rank_ok, None if rank_ok else f"rank {rank} of {ma.dim}")
+        CheckResult(
+            "h_bijective", rank_ok, None if rank_ok else _bijectivity_witness(ma, cert.h_matrix, rank)
+        )
     )
     checks.append(CheckResult("stored_rank_matches", rank == cert.rank))
 

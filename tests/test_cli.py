@@ -12,7 +12,10 @@ The exit-code contract under test:
 
 import json
 import os
+import shutil
+from collections import Counter
 
+from comodule_splitter import definitions
 from comodule_splitter.cli import main
 
 
@@ -485,6 +488,80 @@ def test_corpus_runs_every_bundle(capsys, corpus_dir):
     assert names == sorted(names)
     assert any("rank 48" in line for line in lines)
     assert any("hypothesis_not_met" in line for line in lines)
+
+
+def _count_reads(monkeypatch) -> Counter:
+    """Count the JSON files the loaders read, by absolute path."""
+    reads: Counter = Counter()
+    real = definitions._load_json
+
+    def counting(path):
+        reads[os.path.abspath(path)] += 1
+        return real(path)
+
+    monkeypatch.setattr(definitions, "_load_json", counting)
+    return reads
+
+
+def test_each_command_reads_each_file_once(capsys, corpus_dir, tmp_path, monkeypatch):
+    reads = _count_reads(monkeypatch)
+    files = _bundle_files(corpus_dir, "extended_a3_level0")
+    inputs = {os.path.abspath(files[k]) for k in ("sigma", "comodule", "target", "map")}
+    cert = str(tmp_path / "cert.json")
+    for _ in range(2):  # the second round reads everything again
+        assert _run(capsys, "split", files["comodule"], files["map"], "--out", cert)[0] == 0
+        assert reads == dict.fromkeys(inputs, 1)
+        reads.clear()
+        assert _run(capsys, "certify", cert, files["comodule"], files["map"])[0] == 0
+        assert reads == dict.fromkeys(inputs | {os.path.abspath(cert)}, 1)
+        reads.clear()
+    assert _run(capsys, "corpus", "--dir", str(corpus_dir))[0] == 0
+    assert len(reads) == 9 * 5 and set(reads.values()) == {1}
+
+
+def test_loads_do_not_outlive_the_command(capsys, corpus_dir, tmp_path):
+    for name in os.listdir(corpus_dir):
+        if name.startswith("binomial_2_4_id."):
+            shutil.copy(os.path.join(corpus_dir, name), tmp_path)
+    files = _bundle_files(tmp_path, "binomial_2_4_id")
+    cert = str(tmp_path / "cert.json")
+    argv = ("split", files["comodule"], files["map"], "--out", cert)
+    with open(files["comodule"], encoding="utf-8") as fh:
+        original = fh.read()
+    assert _run(capsys, *argv)[0] == 0
+    with open(files["comodule"], "w", encoding="utf-8") as fh:
+        fh.write("{not json")
+    code, _, err = _run(capsys, *argv)
+    assert code == 2
+    assert err.startswith(f"error: ParseError: {files['comodule']} is not valid JSON")
+    with open(files["comodule"], "w", encoding="utf-8") as fh:
+        fh.write(original)
+    assert _run(capsys, *argv)[0] == 0
+    # Within one command the map's source is the command's comodule object.
+    with definitions._one_load_per_file():
+        _, ma, f, _ = definitions.load_bundle(files["bundle"])
+        assert f.source is ma.base and f.target.over is ma.sigma
+    # Outside the CLI every call reads the file again.
+    first, _ = definitions.load_comodule(files["comodule"])
+    second, _ = definitions.load_comodule(files["comodule"])
+    assert first is not second and first.same_structure(second)
+
+
+def test_a_broken_map_source_still_exits_2(capsys, corpus_dir, tmp_path):
+    files = _bundle_files(corpus_dir, "binomial_2_4_id")
+    with open(files["map"], encoding="utf-8") as fh:
+        map_doc = json.load(fh)
+    broken = tmp_path / "broken.map.json"
+    broken.write_text(json.dumps(dict(map_doc, source="missing.comodule.json")))
+    missing = os.path.join(str(tmp_path), "missing.comodule.json")
+    cert = str(tmp_path / "cert.json")
+    code, out, err = _run(capsys, "split", files["comodule"], str(broken), "--out", cert)
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: ParseError: cannot read {missing}:"
+        f" [Errno 2] No such file or directory: '{missing}'\n"
+    )
+    assert not os.path.exists(cert)
 
 
 def test_corpus_empty_directory_warns(capsys, tmp_path):

@@ -16,6 +16,8 @@ from comodule_splitter.field_linalg import (
     FieldMatrix,
     StaircaseMembership,
     Subspace,
+    _pack,
+    _unpack,
     image,
     kernel_from_sparse_cols,
     preimage,
@@ -62,6 +64,48 @@ def random_matrix(rng: random.Random, p: int, nrows: int, ncols: int) -> FieldMa
 
 def all_vectors(p: int, n: int):
     return itertools.product(range(p), repeat=n)
+
+
+def pack_oracle(vec) -> int:
+    """The literal packing loop: bit j is entry j mod 2."""
+    mask = 0
+    for j, x in enumerate(vec):
+        if x % 2:
+            mask |= 1 << j
+    return mask
+
+
+def unpack_oracle(mask: int, n: int) -> tuple[int, ...]:
+    """The literal unpacking loop: bits 0..n-1 of mask."""
+    return tuple((mask >> j) & 1 for j in range(n))
+
+
+# -- F_2 packing -----------------------------------------------------------------------
+
+
+def test_bulk_packing_matches_the_literal_loops(base_seed):
+    rng = random.Random(base_seed + 71)
+    entries = {
+        "bits": (0, 1),
+        "bytes": (0, 255),
+        "at least 2": (2, 10**6),
+        "negative": (-(10**6), -1),
+        "any": (-(10**30), 10**30),
+    }
+    for n in (0, 1, 2, 7, 8, 9, 64, 1536):
+        for lo, hi in entries.values():
+            vec = [rng.randint(lo, hi) for _ in range(n)]
+            for form in (vec, tuple(vec)):
+                assert _pack(form) == pack_oracle(vec), (n, lo, hi)
+        assert FieldMatrix(2, [vec], ncols=n).row(0) == unpack_oracle(pack_oracle(vec), n)
+        for mask in (0, rng.getrandbits(n) if n else 0, rng.getrandbits(n + 40), (1 << (n + 3)) - 1):
+            for width in (n, n + 5):
+                assert _unpack(mask, width) == unpack_oracle(mask, width), (mask, width)
+        assert _unpack(pack_oracle([1] * n), n) == (1,) * n
+    assert _pack([]) == _pack(()) == 0
+    assert _unpack(0b1011, 0) == ()
+    assert _unpack(0b1011, 1) == (1,)
+    assert _pack([-1]) == _pack([3]) == 1 and _pack([-2]) == _pack([256]) == 0
 
 
 # -- rank / kernel / solve -------------------------------------------------------------

@@ -231,6 +231,42 @@ def test_retraction_law_on_random_subspaces(base_seed):
             assert proj @ proj == proj
 
 
+def _greedy_retraction(s):
+    """The retraction by its definition: extend the echelon basis of s by
+    e_0, e_1, ... whenever the rank grows, invert the n x n basis matrix,
+    and keep the rows indexing s."""
+    p, n, d = s.p, s.ambient_dim, s.dim
+    rows, pivots = list(s._rows), list(s._pivots)
+    basis = list(s._rows)
+    for e_i in FieldMatrix.identity(p, n)._rows:
+        if len(rows) == n:
+            break
+        if field_linalg._insert_row(p, n, rows, pivots, e_i):
+            basis.append(e_i)
+    q_inv = FieldMatrix._raw(p, n, n, tuple(basis)).transpose().inverse()
+    return FieldMatrix._raw(p, d, n, q_inv._rows[:d])
+
+
+def test_trailing_pivot_retraction_matches_the_greedy_oracle(base_seed, corpus):
+    rng = random.Random(base_seed + 29)
+    for p in (2, 3, 5):
+        for n in range(1, 13):
+            spaces = [Subspace(p, n), Subspace.full(p, n)]
+            for _ in range(5):
+                d, density = rng.randrange(0, n + 1), rng.random()
+                vecs = [
+                    tuple(rng.randrange(p) if rng.random() < density else 0 for _ in range(n))
+                    for _ in range(d)
+                ]
+                spaces.append(Subspace.from_vectors(p, n, vecs))
+            for s in spaces:
+                assert retraction_onto(s) == _greedy_retraction(s), (p, n, s.basis_vectors())
+    for b in corpus:
+        ma = b.comodule_algebra
+        total, _ = comodule_primitives_total(ma.base, ma.grouplikes)
+        assert retraction_onto(total) == _greedy_retraction(total), b.name
+
+
 def test_choose_retraction_lands_on_total_primitives(corpus):
     bundles = {b.name: b for b in corpus}
     ma = bundles["sigma_level1_id"].comodule_algebra
@@ -531,6 +567,33 @@ def test_recheck_rejects_tampered_h(corpus):
     # Zeroing the (0, 0) entry of the identity keeps it a comodule map but
     # drops the rank, so exactly the bijectivity checks fail.
     assert _failing_names(report) == {"h_bijective", "stored_rank_matches"}
+
+
+def test_recheck_names_a_kernel_vector_of_a_singular_h(corpus, base_seed):
+    """With one row of h zeroed, the h_bijective witness names the support of
+    the first kernel basis vector of h; over F_2 that support is the vector,
+    so h must kill it.  The other checks of the list keep their verdicts."""
+    b = {x.name: x for x in corpus}["extended_a2_level0"]
+    rng = random.Random(base_seed + 31)
+    t = _random_invertible(rng, b.coalgebra.p, b.comodule_algebra.dim)
+    ma, f = _conjugate(b.comodule_algebra, b.splitting_map, t)
+    cert = build_h(ma, f)
+    rows = cert.h_matrix.rows_as_lists()
+    rows[2] = [0] * ma.dim
+    zeroed = FieldMatrix(ma.p, rows, ncols=ma.dim)
+    report = recheck_certificate(dataclasses.replace(cert, h_matrix=zeroed), ma, f)
+    assert tuple(c.name for c in report.checks) == RECHECK_NAMES
+    assert {"h_bijective", "stored_rank_matches"} <= _failing_names(report)
+    (check,) = [c for c in report.checks if c.name == "h_bijective"]
+    prefix = f"rank {ma.dim - 1} of {ma.dim}; first kernel vector supported on "
+    assert check.witness.startswith(prefix)
+    named = check.witness[len(prefix):].split(", ")
+    expected = zeroed.kernel().basis_vectors()[0]
+    assert named == [ma.base.labels[i] for i, x in enumerate(expected) if x]
+    v = tuple(int(label in named) for label in ma.base.labels)
+    assert any(v) and not any(zeroed.matvec(v))
+    honest = recheck_certificate(cert, ma, f)
+    assert honest.ok and all(c.witness is None for c in honest.checks)
 
 
 def test_recheck_rejects_tampered_rank(corpus):
