@@ -11,9 +11,11 @@ entries are 1, pivot columns are cleared above and below, and rows are
 ordered by pivot column.  Equal subspaces therefore have identical
 representations, and subspace equality is a tuple comparison.
 
-Each operation has one implementation.  ``_insert_row`` is the echelon
-step, and ``_echelon`` spans a list of rows with it; ``rank``, ``rref``,
-``row_space`` and the ``Subspace`` constructor call it.  ``solve`` and
+Each operation has one implementation.  ``_echelon`` is the one echelon
+core: it reduces a batch of rows forward against a table keyed by leading
+column and back-substitutes once at the end.  ``rank``, ``rref``,
+``row_space``, the ``Subspace`` constructor, ``Subspace.add`` and the
+kernel basis of ``kernel_from_sparse_cols`` call it.  ``solve`` and
 ``intersect`` eliminate augmented rows [a | b], which ``_join`` and
 ``_right`` build and split: those two helpers are the only place where the
 augmented layout depends on p.  ``inverse`` is ``solve`` against the
@@ -28,7 +30,6 @@ and ``Subspace.tensor`` both follow it.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Iterable, Sequence
 
 from .errors import ShapeError
@@ -96,69 +97,69 @@ def _add_mod(acc: dict, key, value: int, p: int) -> None:
         acc.pop(key, None)
 
 
-def _first_nonzero(row: Sequence[int]) -> int | None:
-    for j, x in enumerate(row):
-        if x:
-            return j
-    return None
+def _echelon(p: int, ncols: int, rows: Iterable) -> tuple[tuple, tuple[int, ...]]:
+    """Canonical RREF rows and pivots of the span of internal-form rows.
 
+    Two phases.  Forward: each row is reduced against a table of stored
+    rows keyed by the column index of their leading entry (over F_2 the
+    lowest set bit), until its leading column is free or it vanishes.  A
+    stored row is zero left of its key, so a subtraction only touches
+    columns from the lead onward; over odd p a stored row is scaled to lead
+    1.  Back-substitution, once: taking the pivots from highest to lowest,
+    each row is cleared at the higher pivots already finished.  Those rows
+    are zero at every other finished pivot, so the coefficients to clear
+    can be read off the row before any subtraction.
 
-def _insert_row(p: int, ncols: int, rows: list, pivots: list[int], row) -> bool:
-    """Insert an internal-representation row into a canonical RREF list.
-
-    Mutates ``rows`` and ``pivots`` in place, keeping the list canonical.
-    Returns True when the rank grew.
+    The stored rows span the input and have distinct leading columns, and
+    afterwards every pivot column is zero outside its own row, so the result
+    is the reduced row echelon form of the span, which is unique.
     """
     if p == 2:
-        v = row
-        for idx, pv in enumerate(pivots):
-            if (v >> pv) & 1:
-                v ^= rows[idx]
-                if v == 0:
-                    return False
-        if v == 0:
-            return False
-        lead = (v & -v).bit_length() - 1
-        for idx in range(len(rows)):
-            if (rows[idx] >> lead) & 1:
-                rows[idx] ^= v
-        pos = bisect_left(pivots, lead)
-        rows.insert(pos, v)
-        pivots.insert(pos, lead)
-        return True
-    v = list(row)
-    for idx, pv in enumerate(pivots):
-        c = v[pv]
-        if c:
-            other = rows[idx]
-            for j in range(pv, ncols):
-                if other[j]:
-                    v[j] = (v[j] - c * other[j]) % p
-    lead = _first_nonzero(v)
-    if lead is None:
-        return False
-    inv = pow(v[lead], -1, p)
-    if inv != 1:
-        v = [(x * inv) % p for x in v]
-    vt = tuple(v)
-    for idx in range(len(rows)):
-        c = rows[idx][lead]
-        if c:
-            old = rows[idx]
-            rows[idx] = tuple((old[j] - c * vt[j]) % p for j in range(ncols))
-    pos = bisect_left(pivots, lead)
-    rows.insert(pos, vt)
-    pivots.insert(pos, lead)
-    return True
-
-
-def _echelon(p: int, ncols: int, rows: Iterable) -> tuple[tuple, tuple[int, ...]]:
-    """Canonical RREF rows and pivots of the span of internal-form rows."""
-    out: list = []
-    pivots: list[int] = []
-    for r in rows:
-        _insert_row(p, ncols, out, pivots, r)
-    return tuple(out), tuple(pivots)
+        table: dict[int, int] = {}
+        for v in rows:
+            while v:
+                lead = (v & -v).bit_length() - 1
+                hit = table.get(lead)
+                if hit is None:
+                    table[lead] = v
+                    break
+                v ^= hit
+        pivots = sorted(table)
+        done = 0
+        for pv in reversed(pivots):
+            v = table[pv]
+            t = v & done
+            while t:
+                low = t & -t
+                v ^= table[low.bit_length() - 1]
+                t ^= low
+            table[pv] = v
+            done |= 1 << pv
+        return tuple(table[pv] for pv in pivots), tuple(pivots)
+    # Over odd p the table holds each row from its key onward.
+    tails: dict[int, list[int]] = {}
+    for row in rows:
+        v = list(row)
+        lead = 0
+        while True:
+            while lead < ncols and not v[lead]:
+                lead += 1
+            if lead == ncols:
+                break
+            hit = tails.get(lead)
+            c = v[lead]
+            if hit is None:
+                inv = pow(c, -1, p)
+                tails[lead] = [x * inv % p for x in v[lead:]] if inv != 1 else v[lead:]
+                break
+            v[lead:] = [(x - c * y) % p for x, y in zip(v[lead:], hit)]
+    pivots = sorted(tails)
+    for pv in reversed(pivots):
+        tail = tails[pv]
+        coeffs = [(k, c) for k, c in enumerate(tail[1:], 1) if c and pv + k in tails]
+        for k, c in coeffs:
+            tail[k:] = [(x - c * y) % p for x, y in zip(tail[k:], tails[pv + k])]
+    return tuple((0,) * pv + tuple(tails[pv]) for pv in pivots), tuple(pivots)
 
 
 def _join(p: int, a, b, n: int):
@@ -181,7 +182,7 @@ class FieldMatrix:
     __slots__ = ("p", "nrows", "ncols", "_rows")
 
     def __init__(self, p: int, rows: Iterable[Vector], ncols: int | None = None):
-        rows = [tuple(r) for r in rows]
+        rows = [r if isinstance(r, (list, tuple)) else tuple(r) for r in rows]
         if ncols is None:
             if not rows:
                 raise ShapeError("ncols is required for a matrix with no rows")
@@ -491,10 +492,10 @@ def kernel_from_sparse_cols(p: int, ncols: int, cols: Sequence) -> "Subspace":
     staircase preimages, the iterated-coproduct and the cotensor kernels
     affordable.  Columns are eliminated in order against a table of earlier
     columns keyed by their lowest row, recording the same operations on a
-    coefficient vector; a column that reduces to zero gives a kernel vector.
+    coefficient vector; a column that reduces to zero gives a kernel vector,
+    and the kernel vectors are echelonized once at the end.
     """
-    rows: list = []
-    pivots: list[int] = []
+    kernel: list = []
     if p == 2:
         table: dict[int, tuple[int, int]] = {}
         for j, c in enumerate(cols):
@@ -510,8 +511,8 @@ def kernel_from_sparse_cols(p: int, ncols: int, cols: Sequence) -> "Subspace":
                 c ^= hit[0]
                 a ^= hit[1]
             else:
-                _insert_row(2, ncols, rows, pivots, a)
-        return Subspace._raw(2, ncols, tuple(rows), tuple(pivots))
+                kernel.append(a)
+        return Subspace._raw(2, ncols, *_echelon(2, ncols, kernel))
     dtable: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
     for j, col in enumerate(cols):
         c = {k: v % p for k, v in col.items() if v % p}
@@ -532,8 +533,8 @@ def kernel_from_sparse_cols(p: int, ncols: int, cols: Sequence) -> "Subspace":
             for k, v in hit[1].items():
                 _add_mod(a, k, f * v, p)
         else:
-            _insert_row(p, ncols, rows, pivots, tuple(a.get(k, 0) for k in range(ncols)))
-    return Subspace._raw(p, ncols, tuple(rows), tuple(pivots))
+            kernel.append(tuple(a.get(k, 0) for k in range(ncols)))
+    return Subspace._raw(p, ncols, *_echelon(p, ncols, kernel))
 
 
 class Subspace:
@@ -657,15 +658,11 @@ class Subspace:
     # -- lattice operations --------------------------------------------------
 
     def add(self, other: "Subspace") -> "Subspace":
-        """Subspace sum, computed by inserting the smaller basis into the larger."""
+        """Subspace sum: the echelon form of both bases together."""
         if self.p != other.p or self.ambient_dim != other.ambient_dim:
             raise ShapeError("subspaces live in different ambient spaces")
-        big, small = (self, other) if self.dim >= other.dim else (other, self)
-        rows = list(big._rows)
-        pivots = list(big._pivots)
-        for r in small._rows:
-            _insert_row(self.p, self.ambient_dim, rows, pivots, r)
-        return Subspace._raw(self.p, self.ambient_dim, tuple(rows), tuple(pivots))
+        p, n = self.p, self.ambient_dim
+        return Subspace._raw(p, n, *_echelon(p, n, self._rows + other._rows))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus: echelonize [a | a] and [b | 0]; rows supported on the

@@ -16,6 +16,8 @@ from comodule_splitter.field_linalg import (
     FieldMatrix,
     StaircaseMembership,
     Subspace,
+    _echelon,
+    _join,
     _pack,
     _unpack,
     image,
@@ -23,6 +25,8 @@ from comodule_splitter.field_linalg import (
     preimage,
     staircase_sum,
 )
+from comodule_splitter.generators import bundle_extended
+from oracles import echelon_by_insertion, insert_row
 
 
 # -- oracles ---------------------------------------------------------------------------
@@ -106,6 +110,115 @@ def test_bulk_packing_matches_the_literal_loops(base_seed):
     assert _unpack(0b1011, 0) == ()
     assert _unpack(0b1011, 1) == (1,)
     assert _pack([-1]) == _pack([3]) == 1 and _pack([-2]) == _pack([256]) == 0
+
+
+# -- the echelon core against the incremental RREF ----------------------------------------
+
+
+def internal_row(rng: random.Random, p: int, n: int, density: float):
+    """A random row in internal form: a packed int over F_2, residues otherwise."""
+    vec = [rng.randrange(1, p) if rng.random() < density else 0 for _ in range(n)]
+    return _pack(vec) if p == 2 else tuple(vec)
+
+
+def echelon_cases(rng: random.Random, p: int):
+    """(ncols, rows) batches: empty, degenerate, already reduced and wide."""
+
+    def zero(n):
+        return 0 if p == 2 else (0,) * n
+
+    yield 0, []
+    yield 5, []
+    yield 0, [zero(0)] * 3
+    yield 6, [zero(6)] * 4
+    for _ in range(40):
+        n = rng.randrange(1, 13)
+        rows = [internal_row(rng, p, n, rng.random()) for _ in range(rng.randrange(1, 2 * n + 2))]
+        yield n, rows
+        yield n, rows + rows[::-1] + [zero(n)]
+        reduced = list(echelon_by_insertion(p, n, rows)[0])
+        yield n, reduced
+        rng.shuffle(reduced)
+        yield n, reduced + rows
+    for density in (0.01, 0.5):
+        yield 768, [internal_row(rng, p, 768, density) for _ in range(160 if p == 2 else 24)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_echelon_matches_the_incremental_rref(p, base_seed):
+    rng = random.Random(base_seed * 13 + p)
+    for ncols, rows in echelon_cases(rng, p):
+        assert _echelon(p, ncols, rows) == echelon_by_insertion(p, ncols, rows), (ncols, rows)
+
+
+def test_echelon_of_the_augmented_extended_actions_matches_the_oracle():
+    for a in bundle_extended(2, 8).comodule_algebra.action:
+        n = a.ncols
+        joined = [_join(2, r, 1 << i, n) for i, r in enumerate(a._rows)]
+        rows, pivots = _echelon(2, 2 * n, joined)
+        assert (rows, pivots) == echelon_by_insertion(2, 2 * n, joined)
+        assert pivots == tuple(range(n))
+        assert tuple(r >> n for r in rows) == a.inverse()._rows
+
+
+def kernel_oracle(p: int, ncols: int, cols) -> Subspace:
+    """The kernel of the matrix with the given sparse columns, built densely:
+    one basis vector per free column of its RREF, inserted one by one."""
+    nrows = 1 + max((i for c in cols for i in c), default=-1)
+    dense = [[0] * ncols for _ in range(nrows)]
+    for j, c in enumerate(cols):
+        for i, x in c.items():
+            dense[i][j] = (dense[i][j] + x) % p
+    internal = [_pack(r) if p == 2 else tuple(r) for r in dense]
+    rref, pivots = echelon_by_insertion(p, ncols, internal)
+    rref = [_unpack(r, ncols) if p == 2 else r for r in rref]
+    rows: list = []
+    out_pivots: list[int] = []
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        vec = [0] * ncols
+        vec[f] = 1
+        for r, pv in zip(rref, pivots):
+            vec[pv] = (-r[f]) % p
+        insert_row(p, ncols, rows, out_pivots, _pack(vec) if p == 2 else tuple(vec))
+    return Subspace._raw(p, ncols, tuple(rows), tuple(out_pivots))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_kernel_from_sparse_cols_matches_inserting_kernel_vectors(p, base_seed):
+    rng = random.Random(base_seed * 17 + p)
+    cases = [(0, 0, 0.5), (4, 0, 0.5), (5, 3, 0.0)]
+    cases += [(rng.randrange(1, 15), rng.randrange(1, 15), rng.random()) for _ in range(40)]
+    cases += [(120, 90, 0.03), (60, 40, 0.5)]
+    for ncols, nrows, density in cases:
+        cols = [
+            {i: rng.randrange(1, p) for i in range(nrows) if rng.random() < density}
+            for _ in range(ncols)
+        ]
+        if cols and rng.random() < 0.5:
+            cols[-1] = dict(cols[0])
+        want = kernel_oracle(p, ncols, cols)
+        got = kernel_from_sparse_cols(p, ncols, cols)
+        assert (got._rows, got.pivots) == (want._rows, want.pivots), (ncols, cols)
+        if p == 2:
+            packed = [sum(1 << i for i in c) for c in cols]
+            assert kernel_from_sparse_cols(2, ncols, packed) == want
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_subspace_add_matches_the_incremental_sum(p, base_seed):
+    rng = random.Random(base_seed * 19 + p)
+    for _ in range(60):
+        n = rng.randrange(0, 12)
+        spaces = [Subspace.zero(p, n), Subspace.full(p, n)]
+        for _ in range(3):
+            vecs = [[rng.randrange(p) for _ in range(n)] for _ in range(rng.randrange(n + 2))]
+            spaces.append(Subspace(p, n, vecs))
+        u, v = rng.sample(spaces, 2)
+        rows, pivots = list(u._rows), list(u._pivots)
+        for r in v._rows:
+            insert_row(p, n, rows, pivots, r)
+        for s in (u.add(v), v.add(u)):
+            assert (s._rows, s.pivots) == (tuple(rows), tuple(pivots))
 
 
 # -- rank / kernel / solve -------------------------------------------------------------
@@ -392,3 +505,20 @@ def test_shape_errors():
         FieldMatrix(2, [[1, 0]]) @ FieldMatrix(2, [[1, 0]])
     with pytest.raises(ShapeError):
         Subspace(2, 3, [[1, 0]])
+
+
+def test_rows_given_as_lists_tuples_or_iterables_agree(base_seed):
+    rng = random.Random(base_seed + 97)
+    for p in (2, 3):
+        for n in (0, 1, 5, 300):
+            rows = [[rng.randrange(-7, 7) for _ in range(n)] for _ in range(4)]
+            want = FieldMatrix(p, rows, ncols=n)
+            assert FieldMatrix(p, [tuple(r) for r in rows], ncols=n) == want
+            assert FieldMatrix(p, (iter(r) for r in rows), ncols=n) == want
+            assert FieldMatrix(p, [tuple(rows[0])] + rows[1:], ncols=n) == want
+            for r in rows:
+                r.append(1)
+            assert want.rows_as_lists() == [[x % p for x in r[:-1]] for r in rows]
+        for ragged in ([[1, 0], (1,)], [iter([1, 0]), iter([1])], [(1, 0), range(3)]):
+            with pytest.raises(ShapeError):
+                FieldMatrix(p, ragged)

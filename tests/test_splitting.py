@@ -40,6 +40,7 @@ from comodule_splitter.generators import (
     shipped_corpus,
 )
 from comodule_splitter.splitting import _phi_inverse, retraction_onto
+from oracles import insert_row
 
 EXPECTED_RANKS = {
     "binomial_2_4_id": 4,
@@ -241,7 +242,7 @@ def _greedy_retraction(s):
     for e_i in FieldMatrix.identity(p, n)._rows:
         if len(rows) == n:
             break
-        if field_linalg._insert_row(p, n, rows, pivots, e_i):
+        if insert_row(p, n, rows, pivots, e_i):
             basis.append(e_i)
     q_inv = FieldMatrix._raw(p, n, n, tuple(basis)).transpose().inverse()
     return FieldMatrix._raw(p, d, n, q_inv._rows[:d])
