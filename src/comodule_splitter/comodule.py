@@ -9,10 +9,14 @@ Everything downstream of the coalgebra layer lives here: the induced
 filtration F_k(M) = psi^{-1}(M (x) F_k), primitives at a grouplike,
 the total primitives with their certified decomposition, cotensor
 products against small left comodules, graded left primitives, and the
-star-surjectivity report that gates the splitting engine.  The filtration,
-F_0(M) and both sides of the graded primitives are preimages of staircase
-tensor sums, computed by ``staircase_preimage`` straight from the
-psi or Delta triples; no tensor sum and no psi matrix is built for them.
+star-surjectivity report that gates the splitting engine.  The filtration
+and both sides of the graded primitives are read off one
+``AdaptedCoaction``: psi (or Delta) rewritten once with its Sigma factor in
+a basis adapted to the filtration of Sigma, where every level is a kernel
+of shifted and masked columns.  The star check rewrites psi and Delta once
+each for all its levels, and F_0(M) = psi^{-1}(M (x) span(g)) is the one
+level of the filtration span(g) of Sigma.  No tensor sum, psi matrix or
+staircase proof is built for any of them.
 
 A ComoduleAlgebra packages the extra structure the splitting theorem
 needs: an action of the grouplikes by invertible matrices, a unit vector
@@ -49,13 +53,14 @@ from .errors import (
     StructureMismatch,
 )
 from .field_linalg import (
+    AdaptedCoaction,
     FieldMatrix,
     Subspace,
     Vector,
     _add_mod,
+    adapted_basis,
     image,
     kernel_from_sparse_cols,
-    staircase_preimage,
 )
 from .reporting import (
     CheckResult,
@@ -512,13 +517,14 @@ def validate_comodule_algebra(ma: ComoduleAlgebra) -> ValidationReport:
 
 
 def comodule_filtration(m: Comodule, f: Filtration) -> Filtration:
-    """F_k(M) = psi^{-1}(M (x) F_k), level by level along the given filtration."""
+    """F_k(M) = psi^{-1}(M (x) F_k), level by level along the given filtration,
+    read off one rewrite of psi in a basis adapted to the levels."""
     if f.p != m.p or f.ambient_dim != m.over.dim:
         raise ShapeError("filtration does not live on the over-coalgebra")
-    full_m = Subspace.full(m.p, m.dim)
+    sweep = AdaptedCoaction(m.psi, m.dim, *adapted_basis(f.levels))
     levels = []
     for k in range(f.top + 1):
-        levels.append(staircase_preimage([(full_m, f.level(k))], m.psi))
+        levels.append(sweep.preimage(k))
         if levels[-1].is_full():
             break
     stabilized = f.stabilized or levels[-1].is_full()
@@ -562,7 +568,7 @@ def comodule_primitives_total(
         pg = comodule_primitives_at(m, vec)
         dims.append(pg.dim)
         total = total.add(pg)
-    f0 = staircase_preimage([(Subspace.full(m.p, m.dim), g.span())], m.psi)
+    f0 = AdaptedCoaction(m.psi, m.dim, *adapted_basis([g.span()])).preimage(0)
     report = PrimitivesReport(
         total_dim=total.dim,
         per_grouplike_dims=tuple(dims),
@@ -630,20 +636,16 @@ def graded_left_primitives(
     """The space {v in M : psi(v) in eta (x) F_k + M (x) F_{k-1}}, with F_{-1} = 0."""
     if sigma_filt is None:
         sigma_filt = coradical_filtration_wedge(ma.sigma, ma.grouplikes)
-    p = ma.p
-    eta_line = Subspace.from_vectors(p, ma.dim, [ma.unit])
-    terms = [(Subspace.full(p, ma.dim), sigma_filt.level(k - 1)), (eta_line, sigma_filt.level(k))]
-    return staircase_preimage(terms, ma.base.psi)
+    basis = adapted_basis(sigma_filt.levels)
+    return AdaptedCoaction(ma.base.psi, ma.dim, *basis).preimage(k, ma.unit)
 
 
 def _sigma_graded_left_primitives(
     sigma: Coalgebra, w: Vector, k: int, sigma_filt: Filtration
 ) -> Subspace:
     """Same construction on the over-coalgebra itself, with unit vector w."""
-    p = sigma.p
-    w_line = Subspace.from_vectors(p, sigma.dim, [w])
-    terms = [(Subspace.full(p, sigma.dim), sigma_filt.level(k - 1)), (w_line, sigma_filt.level(k))]
-    return staircase_preimage(terms, sigma.delta)
+    basis = adapted_basis(sigma_filt.levels)
+    return AdaptedCoaction(sigma.delta, sigma.dim, *basis).preimage(k, w)
 
 
 def check_star_surjective(
@@ -685,15 +687,25 @@ def check_star_surjective(
             for idx in range(len(ma.grouplikes))
         )
 
+    # Both sides of every level, from one rewrite of psi and one of Delta in
+    # a basis of Sigma adapted to the filtration.
+    basis = adapted_basis(sigma_filt.levels)
+    source_sweep = AdaptedCoaction(ma.base.psi, ma.dim, *basis)
+    target_sweep = AdaptedCoaction(sigma.delta, sigma.dim, *basis)
     levels = []
     for k in range(sigma_filt.top + 1):
-        source = graded_left_primitives(ma, k, sigma_filt)
-        target = _sigma_graded_left_primitives(sigma, w, k, sigma_filt)
+        source = source_sweep.preimage(k, ma.unit)
+        target = target_sweep.preimage(k, w)
         img = image(f.matrix, source)
         if strict:
             ok = img.contains_subspace(target)
         else:
-            ok = img.add(target.intersect(sigma_filt.level(k - 1))).contains_subspace(target)
+            # On a pointed Sigma, F_{k-1} lies in the target, and then the
+            # intersection is F_{k-1} itself.
+            below = sigma_filt.level(k - 1)
+            if not target.contains_subspace(below):
+                below = target.intersect(below)
+            ok = img.add(below).contains_subspace(target)
         levels.append(StarLevelResult(level=k, ok=ok, source_dim=source.dim, target_dim=target.dim))
 
     return StarReport(

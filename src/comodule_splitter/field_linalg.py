@@ -389,8 +389,10 @@ class FieldMatrix:
     def transpose(self) -> "FieldMatrix":
         if self.p == 2:
             rows = tuple(self.packed_cols())
+        elif self.nrows:
+            rows = tuple(zip(*self._rows))
         else:
-            rows = tuple(self.col(j) for j in range(self.ncols))
+            rows = ((),) * self.ncols
         return FieldMatrix._raw(self.p, self.ncols, self.nrows, rows)
 
     def vstack(self, other: "FieldMatrix") -> "FieldMatrix":
@@ -489,7 +491,7 @@ def kernel_from_sparse_cols(p: int, ncols: int, cols: Sequence) -> "Subspace":
     This is the package's one kernel routine.  A column is a dict
     row -> coeff; over F_2 it may also be a bit-packed int (bit i = row i).
     The row count never has to be materialized, which is what makes the
-    staircase preimages, the iterated-coproduct and the cotensor kernels
+    filtration layers, the iterated-coproduct and the cotensor kernels
     affordable.  Columns are eliminated in order against a table of earlier
     columns keyed by their lowest row, recording the same operations on a
     coefficient vector; a column that reduces to zero gives a kernel vector,
@@ -533,7 +535,10 @@ def kernel_from_sparse_cols(p: int, ncols: int, cols: Sequence) -> "Subspace":
             for k, v in hit[1].items():
                 _add_mod(a, k, f * v, p)
         else:
-            kernel.append(tuple(a.get(k, 0) for k in range(ncols)))
+            v = [0] * ncols
+            for k, x in a.items():
+                v[k] = x
+            kernel.append(v)
     return Subspace._raw(p, ncols, *_echelon(p, ncols, kernel))
 
 
@@ -652,7 +657,16 @@ class Subspace:
         if other.dim > self.dim:
             return False
         if self.p == 2:
-            return all(self._reduce_packed(r) == 0 for r in other._rows)
+            # Each stored row has its lowest set bit at its pivot, so a member
+            # reduces to zero by clearing its lowest set bit, which must be a pivot.
+            by_pivot = dict(zip(self._pivots, self._rows))
+            for w in other._rows:
+                while w:
+                    hit = by_pivot.get((w & -w).bit_length() - 1)
+                    if hit is None:
+                        return False
+                    w ^= hit
+            return True
         return all(self.contains(r) for r in other._rows)
 
     # -- lattice operations --------------------------------------------------
@@ -716,23 +730,6 @@ class Subspace:
                     acc[pv] = (-c) % p
             rows.append(tuple(acc))
         return FieldMatrix._raw(p, len(nps), n, tuple(rows))
-
-
-def preimage(m: FieldMatrix, s: Subspace) -> Subspace:
-    """{v : m v in s}, the preimage of a subspace of the codomain.
-
-    The literal route, kept as the oracle that the tests hold
-    ``staircase_preimage`` to.
-    """
-    if m.p != s.p:
-        raise ShapeError("mixed characteristics")
-    if s.ambient_dim != m.nrows:
-        raise ShapeError("subspace must live in the codomain of the matrix")
-    if m.p == 2:
-        cols = [s._reduce_packed(c) for c in m.packed_cols()]
-    else:
-        cols = [dict(enumerate(s.reduce(m.col(j)))) for j in range(m.ncols)]
-    return kernel_from_sparse_cols(m.p, m.ncols, cols)
 
 
 def image(m: FieldMatrix, s: Subspace | None = None) -> Subspace:
@@ -825,76 +822,126 @@ class StaircaseMembership:
         return True
 
 
-def staircase_preimage(
-    terms: Sequence[tuple[Subspace, Subspace]],
-    coaction: Sequence[Iterable[tuple[int, int, int]]],
-) -> Subspace:
-    """{v in F^N : psi(v) in A_1 (x) B_1 + ... + A_r (x) B_r}, N = len(coaction),
-    for the map psi(e_i) = sum of c * e_a (x) e_k over the triples (a, k, c)
-    of coaction[i] -- the shape of ``Comodule.psi`` and ``Coalgebra.delta``.
+# -- filtration-adapted coordinates ----------------------------------------------
 
-    The terms must form a staircase, as for ``StaircaseMembership``, whose
-    corner pairs (q_A, q_B) this uses.  The result is the kernel of
-    v -> (+)_corners (q_A (x) q_B) psi(v), read straight off the triples:
-    neither the sum, nor a tensor product of subspaces, nor the matrix of
-    psi is ever built.  The rows of the corner (q_A, q_B) are indexed
-    s * rows(q_B) + u, after the rows of the corners before it.
+
+def adapted_basis(levels: Sequence[Subspace]) -> tuple[FieldMatrix, tuple[int, ...]]:
+    """Coordinates in a basis B of F^n adapted to nested F_0 <= ... <= F_top,
+    and the dimensions d_k of the levels.
+
+    Nested canonical subspaces have nested pivots.  So the rows of each F_k
+    at its pivots new at level k, level by level, then the unit vectors at
+    the non-pivots of F_top, have distinct leading columns and form a basis
+    B whose first d_k vectors span F_k.  Row i of the returned B^-1 holds
+    the B-coordinates of e_i.  Only the nesting of the pivots is checked;
+    the levels of every ``Filtration`` the package builds are nested.
     """
-    stair = StaircaseMembership(terms)
-    p = stair.p
-    corners = []
-    offset = 0
-    for qa, qb in stair._conds:
+    p, n = levels[0].p, levels[0].ambient_dim
+    rows: list = []
+    seen: set[int] = set()
+    for lvl in levels:
+        if lvl.p != p or lvl.ambient_dim != n or not seen.issubset(lvl._pivots):
+            raise ShapeError("levels must increase in one ambient space")
+        for row, pv in zip(lvl._rows, lvl._pivots):
+            if pv not in seen:
+                rows.append(row)
+                seen.add(pv)
+    unit_rows = FieldMatrix.identity(p, n)._rows
+    rows += [unit_rows[j] for j in range(n) if j not in seen]
+    coords = FieldMatrix._raw(p, n, n, tuple(rows)).inverse()
+    return coords, tuple(lvl.dim for lvl in levels)
+
+
+class AdaptedCoaction:
+    """psi(e_i) = sum of c * e_a (x) e_k over the triples (a, k, c) of
+    coaction[i], with the right factor rewritten once in an adapted basis B.
+
+    ``coords`` and ``dims`` come from ``adapted_basis``; the triples must lie
+    in range, as those of ``Comodule.psi`` and ``Coalgebra.delta`` do, which
+    their constructors check.  Column i holds
+    psi(e_i) with the component at e_a (x) b_j at index j * left_dim + a:
+    over F_2 as a packed int, over odd p as a dict.  Since F_k is spanned by
+    b_0 .. b_{d_k - 1}, every preimage of a filtration layer is a kernel of
+    shifted and masked columns, with no tensor sum, quotient matrix or
+    staircase proof.
+    """
+
+    def __init__(self, coaction, left_dim: int, coords: FieldMatrix, dims: Sequence[int]):
+        p, width = coords.p, left_dim
+        self.p, self.left_dim, self.dims = p, left_dim, tuple(dims)
+        cols: list = []
         if p == 2:
-            corners.append((offset, qb.nrows, qa.packed_cols(), qb.packed_cols()))
+            spread = []
+            for row in coords._rows:
+                s = 0
+                while row:
+                    low = row & -row
+                    s |= 1 << ((low.bit_length() - 1) * width)
+                    row ^= low
+                spread.append(s)
+            for triples in coaction:
+                col = 0
+                for a, k, c in triples:
+                    if c & 1:
+                        col ^= spread[k] << a
+                cols.append(col)
         else:
-            corners.append((offset, qb.nrows, qa.sparse_cols(), qb.sparse_cols()))
-        offset += qa.nrows * qb.nrows
-    cols: list = []
-    for triples in coaction:
-        by_left: dict[int, list[tuple[int, int]]] = {}
-        for a, k, c in triples:
-            if not (0 <= a < stair.left_dim and 0 <= k < stair.right_dim):
-                raise ShapeError(f"coaction index out of range: ({a}, {k})")
-            by_left.setdefault(a, []).append((k, c))
-        col: int | dict[int, int] = 0 if p == 2 else {}
-        for off, nb, qacols, qbcols in corners:
-            for a, kcs in by_left.items():
-                # y = q_B applied to the part of psi(v) with left index a
-                if p == 2:
-                    y = 0
-                    for k, c in kcs:
-                        if c & 1:
-                            y ^= qbcols[k]
-                    t = qacols[a] if y else 0
-                    while t:
-                        s = (t & -t).bit_length() - 1
-                        col ^= y << (off + s * nb)
-                        t &= t - 1
-                else:
-                    y = {}
-                    for k, c in kcs:
-                        for u, x in qbcols[k].items():
-                            _add_mod(y, u, c * x, p)
-                    for s, x in qacols[a].items():
-                        for u, z in y.items():
-                            _add_mod(col, off + s * nb + u, x * z, p)
-        cols.append(col)
-    return kernel_from_sparse_cols(p, len(coaction), cols)
+            sparse = [[(j * width, x) for j, x in enumerate(row) if x] for row in coords._rows]
+            for triples in coaction:
+                col = {}
+                for a, k, c in triples:
+                    for key, x in sparse[k]:
+                        _add_mod(col, key + a, c * x, p)
+                cols.append(col)
+        self._cols = cols
 
+    def _dim(self, k: int) -> int:
+        """d_k, with d_{-1} = 0 and d_k = d_top beyond the top."""
+        return 0 if k < 0 else self.dims[min(k, len(self.dims) - 1)]
 
-def staircase_sum(terms: Sequence[tuple[Subspace, Subspace]]) -> Subspace:
-    """The literal subspace A_1 (x) B_1 + ... + A_r (x) B_r.
+    def preimage(self, k: int, unit: Vector | None = None) -> Subspace:
+        """{v : psi(v) in F^L (x) F_k} without a unit; with one, the graded
+        layer {v : psi(v) in F^L (x) F_{k-1} + unit (x) F_k}.
 
-    Fine for small ambient spaces and kept as the test oracle; the
-    membership class and ``staircase_preimage`` above are the scalable
-    routes (the latter is checked against
-    ``preimage(matrix, staircase_sum(terms))``).
-    """
-    out: Subspace | None = None
-    for a, b in terms:
-        t = a.tensor(b)
-        out = t if out is None else out.add(t)
-    if out is None:
-        raise ShapeError("at least one term is required")
-    return out
+        In B-coordinates the first is the kernel of every component at
+        j >= d_k.  The second is the kernel of the components at j >= d_k
+        together with those at d_{k-1} <= j < d_k taken modulo the unit line:
+        each such block is reduced by its entry at the unit's leading index.
+        A zero unit spans no line, so then that band must vanish outright.
+        """
+        p, width = self.p, self.left_dim
+        lo = self._dim(k if unit is None else k - 1)
+        hi = self._dim(k)
+        lead = None if unit is None else next((a for a, x in enumerate(unit) if x % p), None)
+        shift = lo * width
+        if lead is None or hi == lo:
+            if p == 2:
+                cols = [c >> shift for c in self._cols]
+            else:
+                cols = [{key - shift: x for key, x in c.items() if key >= shift} for c in self._cols]
+        elif p == 2:
+            sel = sum(1 << (j * width + lead) for j in range(lo, hi))
+            support = [a for a, x in enumerate(unit) if x & 1]
+            cols = []
+            for c in self._cols:
+                t = (c & sel) >> lead
+                for a in support:
+                    c ^= t << a
+                cols.append(c >> shift)
+        else:
+            inv = pow(unit[lead], -1, p)
+            scaled = [(a, x * inv % p) for a, x in enumerate(unit) if x % p]
+            end = hi * width
+            cols = []
+            for c in self._cols:
+                out = {key - shift: x for key, x in c.items() if key >= shift}
+                hits = [
+                    (key - shift - lead, x)
+                    for key, x in c.items()
+                    if shift <= key < end and key % width == lead
+                ]
+                for base, x in hits:
+                    for a, y in scaled:
+                        _add_mod(out, base + a, -x * y, p)
+                cols.append(out)
+        return kernel_from_sparse_cols(p, len(self._cols), cols)

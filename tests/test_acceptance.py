@@ -34,7 +34,6 @@ from comodule_splitter import (
     validate_coalgebra,
 )
 from comodule_splitter.cli import main as cli_main
-from comodule_splitter.field_linalg import preimage
 from comodule_splitter.generators import (
     gen_binomial_truncation,
     gen_group_algebra,
@@ -42,6 +41,7 @@ from comodule_splitter.generators import (
     gen_random_pointed,
     gen_sigma_truncation,
 )
+from oracles import preimage
 
 THEOREM_PAIRS = (
     "sigma_level0_id",

@@ -10,6 +10,7 @@ The exit-code contract under test:
 * 4 splitting hypothesis not met
 """
 
+import hashlib
 import json
 import os
 import shutil
@@ -186,6 +187,37 @@ def test_filtration_of_a_comodule_file(capsys, corpus_dir):
     assert json.loads(out)["levels"] == [3, 9, 12]
 
 
+# For each corpus comodule file: the wedge levels, and the sha256 (first 32
+# hex digits) of "exit code\nstdout" of `filtration` with --algo wedge,
+# wedge --max-level 1, direct and direct --max-level 1, joined in that order.
+# Direct on sigma_level2_id hits the default cell cap and exits 3.
+COMODULE_FILTRATION_PINS = {
+    "binomial_2_4_id": ([1, 3, 4], "3c54ccb5f78129ffbfd5ec89d8b692fd"),
+    "extended_a2_level0": ([6], "552348eccfae7ff05243d19a5d76d1f7"),
+    "extended_a3_level0": ([9], "4ab3d70b6ef4f06c344b384287c26e10"),
+    "extended_a2_level1": ([6, 18, 24], "b23f5361737b3aad846546c626679cf8"),
+    "extended_a3_level1": ([9, 27, 36], "cb809debc0383572f19689d8596ee1ef"),
+    "sigma_level0_id": ([3], "78c20138f44936fbe2bd4a57c736d237"),
+    "sigma_level1_id": ([3, 9, 12], "f2b4df7497aafcd4e4bd6a89f5af047a"),
+    "sigma_level2_id": ([3, 12, 24, 36, 45, 48], "80d32f242cfb0f5b48515db193a5f18c"),
+    "control_zero_map": ([3], "78c20138f44936fbe2bd4a57c736d237"),
+}
+
+
+def test_comodule_filtration_output_is_pinned_on_the_corpus(capsys, corpus, corpus_dir):
+    assert sorted(COMODULE_FILTRATION_PINS) == sorted(b.name for b in corpus)
+    for name, (levels, digest) in COMODULE_FILTRATION_PINS.items():
+        path = _bundle_files(corpus_dir, name)["comodule"]
+        joined = ""
+        for algo in ("wedge", "direct"):
+            for extra in ((), ("--max-level", "1")):
+                code, out, _ = _run(capsys, "filtration", path, "--algo", algo, *extra)
+                joined += f"{code}\n{out}"
+                if (algo, extra) == ("wedge", ()):
+                    assert json.loads(out)["levels"] == levels, name
+        assert hashlib.sha256(joined.encode()).hexdigest()[:32] == digest, name
+
+
 def test_filtration_cell_cap_exits_3_with_hint(capsys, corpus_dir, monkeypatch):
     monkeypatch.setenv("COMODULE_SPLITTER_CAP", "100")
     files = _bundle_files(corpus_dir, "sigma_level2_id")
@@ -293,6 +325,43 @@ def test_star_needs_an_enriched_comodule(capsys, corpus_dir):
     code, _, err = _run(capsys, "star", files["target"], files["map"])
     assert code == 2
     assert "unit" in err
+
+
+# The star report of sigma_level1_id with its unit replaced by zeros.  The
+# zero vector spans no unit line, so no graded layer of M meets it.
+ZERO_UNIT_STAR_LEVELS = [
+    {"level": 0, "ok": False, "source_dim": 0, "target_dim": 1},
+    {"level": 1, "ok": False, "source_dim": 3, "target_dim": 5},
+    {"level": 2, "ok": False, "source_dim": 9, "target_dim": 10},
+]
+
+
+def test_star_with_a_zero_unit_reports_every_level(capsys, corpus_dir, tmp_path):
+    """An all-zero unit is not refused: star prints the full report, with
+    every level failing, and exits 4, with and without --strict."""
+    files = _bundle_files(corpus_dir, "sigma_level1_id")
+    for kind in ("sigma", "target", "map"):
+        shutil.copy(files[kind], tmp_path)
+    with open(files["comodule"], encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["unit"] = [0] * len(doc["unit"])
+    comodule = tmp_path / "sigma_level1_id.comodule.json"
+    comodule.write_text(json.dumps(doc), encoding="utf-8")
+    for extra in ((), ("--strict",)):
+        map_path = str(tmp_path / "sigma_level1_id.map.json")
+        code, out, err = _run(capsys, "star", str(comodule), map_path, *extra)
+        assert code == 4
+        assert err == ""
+        assert json.loads(out) == {
+            "equivariance_ok": None,
+            "levels": ZERO_UNIT_STAR_LEVELS,
+            "ok": False,
+            "rank": 12,
+            "strict": bool(extra),
+            "surjective": True,
+            "target_dim": 12,
+            "unit_ok": False,
+        }
 
 
 def test_split_writes_byte_identical_certificates(capsys, corpus_dir, tmp_path):

@@ -13,6 +13,9 @@ import pytest
 
 from comodule_splitter.coalgebra import (
     Coalgebra,
+    Filtration,
+    GroupLikeSet,
+    _coradical_span,
     change_basis,
     check_pointed_exhaustive,
     coradical_filtration_direct,
@@ -28,11 +31,16 @@ from comodule_splitter.coalgebra import (
 from comodule_splitter.errors import (
     CapExceeded,
     DeclaredNotGrouplike,
+    NotASubcoalgebra,
     NotGrouplike,
     SearchSpaceTooLarge,
     ShapeError,
 )
-from comodule_splitter.field_linalg import FieldMatrix, StaircaseMembership
+from comodule_splitter.field_linalg import (
+    FieldMatrix,
+    StaircaseMembership,
+    Subspace,
+)
 from comodule_splitter.generators import (
     gen_binomial_truncation,
     gen_group_algebra,
@@ -40,6 +48,7 @@ from comodule_splitter.generators import (
     gen_random_pointed,
     gen_sigma_truncation,
 )
+from oracles import staircase_preimage
 
 
 def cyclic(p: int, n: int) -> Coalgebra:
@@ -227,6 +236,55 @@ def test_max_level_truncates_wedge():
     short = coradical_filtration_wedge(c, g, k_max=1)
     assert len(short.levels) == 2
     assert not short.exhaustive
+
+
+def _wedge_by_staircase(c: Coalgebra, g, k_max=None) -> Filtration:
+    """The wedge recursion with one fresh staircase_preimage per level: the
+    route coradical_filtration_wedge took before it applied q_{F_0} once."""
+    r = g.span()
+    full = Subspace.full(c.p, c.dim)
+    levels = [r]
+    stabilized = False
+    while k_max is None or len(levels) - 1 < k_max:
+        prev = levels[-1]
+        if prev.is_full():
+            stabilized = True
+            break
+        nxt = staircase_preimage([(full, prev), (r, full)], c.delta)
+        if nxt == prev:
+            stabilized = True
+            break
+        levels.append(nxt)
+    return Filtration.build(c.p, c.dim, levels, stabilized or levels[-1].is_full())
+
+
+def test_wedge_matches_the_per_level_staircase_recursion(base_seed):
+    """Equal Filtrations (levels and flags) over F_2, F_3 and F_5, including
+    truncations at k_max and a coalgebra whose filtration stalls."""
+    bundles = [gen_random_pointed(base_seed + i) for i in range(12)]
+    bundles += [gen_binomial_truncation(5, 9), gen_binomial_truncation(3, 10), gen_non_pointed()]
+    bundles += [gen_sigma_truncation(level) for level in (1, 2)]
+    cases = [(b.coalgebra, b.grouplikes) for b in bundles]
+    cases.append((cyclic(3, 2), find_grouplikes(cyclic(3, 2), "brute_force")))
+    assert {c.p for c, _ in cases} >= {2, 3, 5}
+    stalled = 0
+    for c, g in cases:
+        for k_max in (None, 0, 1, 2):
+            filt = coradical_filtration_wedge(c, g, k_max)
+            assert filt == _wedge_by_staircase(c, g, k_max), (c.labels, k_max)
+            stalled += filt.stabilized and not filt.exhaustive
+    assert stalled > 0
+
+
+def test_coradical_closure_checks_both_tensor_factors():
+    """With Delta(b) = a (x) b, Delta(span b) lies in C (x) span(b) but not in
+    span(b) (x) C; with Delta(b) = b (x) a the other way round.  Either way
+    span(b) is not closed, while span(a) is."""
+    for delta_b in (((0, 1, 1),), ((1, 0, 1),)):
+        c = Coalgebra(2, 2, ("a", "b"), (((0, 0, 1),), delta_b), (1, 0))
+        with pytest.raises(NotASubcoalgebra):
+            _coradical_span(c, GroupLikeSet(2, 2, ((0, 1),)))
+        assert _coradical_span(c, GroupLikeSet(2, 2, ((1, 0),))) == Subspace(2, 2, [(1, 0)])
 
 
 def test_direct_cap_via_env(monkeypatch):

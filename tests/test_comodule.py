@@ -13,6 +13,7 @@ import pytest
 
 from comodule_splitter.coalgebra import (
     Coalgebra,
+    Filtration,
     GroupLikeSet,
     _coradical_span,
     coradical_filtration_direct,
@@ -43,12 +44,12 @@ from comodule_splitter.errors import (
     StructureMismatch,
 )
 from comodule_splitter.field_linalg import (
+    AdaptedCoaction,
     FieldMatrix,
     StaircaseMembership,
     Subspace,
-    preimage,
-    staircase_preimage,
-    staircase_sum,
+    adapted_basis,
+    image,
 )
 from comodule_splitter.generators import (
     bundle_extended,
@@ -58,6 +59,7 @@ from comodule_splitter.generators import (
     gen_random_pointed,
     gen_sigma_truncation,
 )
+from oracles import preimage, staircase_preimage, staircase_sum
 
 
 def _sigma_filt(c):
@@ -474,6 +476,139 @@ def test_coradical_closure_check_matches_the_literal_route(base_seed):
                 with pytest.raises(NotASubcoalgebra):
                     _coradical_span(c, GroupLikeSet(c.p, c.dim, vectors))
     assert outcomes == {True, False}
+
+
+# -- the filtration sweep against the per-level staircase route -------------------------
+
+
+def _assert_sweep_matches_staircase(coaction, left_dim, filt, units):
+    """Every layer of AdaptedCoaction equals a fresh staircase_preimage at
+    every level k = 0..top+1: psi^{-1}(L (x) F_k), and for each unit u the
+    graded layer psi^{-1}(L (x) F_{k-1} + u (x) F_k)."""
+    p = filt.p
+    full = Subspace.full(p, left_dim)
+    sweep = AdaptedCoaction(coaction, left_dim, *adapted_basis(filt.levels))
+    for k in range(filt.top + 2):
+        assert sweep.preimage(k) == staircase_preimage([(full, filt.level(k))], coaction), k
+        for u in units:
+            terms = [(full, filt.level(k - 1)), (Subspace(p, left_dim, [u]), filt.level(k))]
+            assert sweep.preimage(k, u) == staircase_preimage(terms, coaction), (k, u)
+
+
+def _sweep_algebras(corpus):
+    """The corpus, binomial truncations over F_2, F_3 and F_5, and the
+    extended comodules at levels 1 and 2, whose filtration levels are not
+    coordinate subspaces."""
+    cases = [b.comodule_algebra for b in corpus]
+    cases += [gen_binomial_truncation(p, d).comodule_algebra for p, d in ((2, 9), (3, 10), (5, 11))]
+    cases += [bundle_extended(1, 3).comodule_algebra, bundle_extended(2, 2).comodule_algebra]
+    return cases
+
+
+def test_sweep_matches_the_staircase_route_on_the_m_side(corpus):
+    """M side, with the unit, with a zero unit, and on a wedge filtration
+    truncated at level 1, which is not exhaustive."""
+    cases = _sweep_algebras(corpus)
+    assert {ma.p for ma in cases} == {2, 3, 5}
+    truncated = 0
+    for ma in cases:
+        m, zero = ma.base, (0,) * ma.dim
+        for k_max in (None, 1):
+            filt = coradical_filtration_wedge(ma.sigma, ma.grouplikes, k_max)
+            truncated += not filt.exhaustive
+            _assert_sweep_matches_staircase(m.psi, m.dim, filt, [ma.unit, zero])
+    assert truncated > 0
+
+
+def test_sweep_matches_the_staircase_route_on_the_sigma_side(corpus):
+    """Sigma side, with each declared grouplike as w: random pointed
+    coalgebras, seeds 0-11, and the Sigma of every case above."""
+    coalgebras = [(b.coalgebra, b.grouplikes) for b in map(gen_random_pointed, range(12))]
+    coalgebras += [(ma.sigma, ma.grouplikes) for ma in _sweep_algebras(corpus)]
+    for sigma, g in coalgebras:
+        for k_max in (None, 1):
+            filt = coradical_filtration_wedge(sigma, g, k_max)
+            _assert_sweep_matches_staircase(sigma.delta, sigma.dim, filt, g.vectors)
+
+
+def test_graded_views_and_star_read_the_same_sweep(corpus):
+    """graded_left_primitives and _sigma_graded_left_primitives are views of
+    AdaptedCoaction, and the star report's dimensions are theirs."""
+    for ma in _sweep_algebras(corpus)[-5:]:
+        filt = coradical_filtration_wedge(ma.sigma, ma.grouplikes)
+        w = ma.grouplikes.vectors[ma.unit_grouplike_index()]
+        basis = adapted_basis(filt.levels)
+        source = AdaptedCoaction(ma.base.psi, ma.dim, *basis)
+        target = AdaptedCoaction(ma.sigma.delta, ma.sigma.dim, *basis)
+        f = ComoduleMap(ma.base, Comodule.regular(ma.sigma), FieldMatrix.zeros(ma.p, ma.sigma.dim, ma.dim))
+        levels = check_star_surjective(ma, f, sigma_filt=filt).levels
+        for k in range(filt.top + 1):
+            assert graded_left_primitives(ma, k, filt) == source.preimage(k, ma.unit)
+            assert _sigma_graded_left_primitives(ma.sigma, w, k, filt) == target.preimage(k, w)
+            assert levels[k].source_dim == source.preimage(k, ma.unit).dim
+            assert levels[k].target_dim == target.preimage(k, w).dim
+
+
+def test_star_levels_match_the_literal_coverage_test(base_seed):
+    """The non-strict level verdict equals img + (target meet F_{k-1}) >=
+    target, on the wedge filtration and on random nested filtrations of
+    Sigma, where F_{k-1} need not lie in the target."""
+    rng = random.Random(base_seed)
+    outside = 0
+    for bundle in (bundle_sigma_regular(1), bundle_extended(1, 2), gen_binomial_truncation(3, 6)):
+        ma, f = bundle.comodule_algebra, bundle.splitting_map
+        p, n = ma.p, ma.sigma.dim
+        w = ma.grouplikes.vectors[ma.unit_grouplike_index()]
+        vecs = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        dims = sorted(rng.sample(range(1, n + 1), 3))
+        nested = Filtration.build(p, n, [Subspace(p, n, vecs[:d]) for d in dims], False)
+        for filt in (coradical_filtration_wedge(ma.sigma, ma.grouplikes), nested):
+            report = check_star_surjective(ma, f, sigma_filt=filt)
+            for k, result in enumerate(report.levels):
+                target = _sigma_graded_left_primitives(ma.sigma, w, k, filt)
+                img = image(f.matrix, graded_left_primitives(ma, k, filt))
+                below = filt.level(k - 1)
+                outside += not target.contains_subspace(below)
+                assert result.ok == img.add(target.intersect(below)).contains_subspace(target)
+    assert outside > 0
+
+
+def test_adapted_basis_spans_each_level():
+    """The first d_k vectors of B (the rows of the inverse of the returned
+    coordinates) span F_k, on Sigma truncations whose levels are not
+    coordinate subspaces."""
+    for level in (1, 2):
+        tr = gen_sigma_truncation(level)
+        filt = coradical_filtration_wedge(tr.coalgebra, tr.grouplikes)
+        coords, dims = adapted_basis(filt.levels)
+        assert dims == filt.dims()
+        b = coords.inverse()
+        for k, d in enumerate(dims):
+            assert Subspace(b.p, b.ncols, [b.row(j) for j in range(d)]) == filt.level(k)
+
+
+def test_adapted_basis_refuses_levels_that_do_not_increase():
+    p, n = 3, 4
+    first = Subspace(p, n, [(0, 1, 0, 0)])
+    second = Subspace(p, n, [(1, 0, 0, 0)])
+    with pytest.raises(ShapeError):
+        adapted_basis([first, second])
+    with pytest.raises(ShapeError):
+        adapted_basis([first, Subspace.full(2, n)])
+
+
+def test_corpus_maps_preserve_both_filtrations(corpus):
+    """check_map_preserves_filtration reads both comodule filtrations off the
+    sweep; every shipped map preserves the wedge filtration, the direct one,
+    and the wedge filtration truncated at level 1."""
+    for b in corpus:
+        c, g = b.coalgebra, b.grouplikes
+        for filt in (
+            coradical_filtration_wedge(c, g),
+            coradical_filtration_wedge(c, g, 1),
+            coradical_filtration_direct(c, g, 2),
+        ):
+            assert check_map_preserves_filtration(b.splitting_map, filt), b.name
 
 
 # -- graded surjectivity ---------------------------------------------------------------
