@@ -389,10 +389,8 @@ class FieldMatrix:
     def transpose(self) -> "FieldMatrix":
         if self.p == 2:
             rows = tuple(self.packed_cols())
-        elif self.nrows:
-            rows = tuple(zip(*self._rows))
         else:
-            rows = ((),) * self.ncols
+            rows = tuple(self.col(j) for j in range(self.ncols))
         return FieldMatrix._raw(self.p, self.ncols, self.nrows, rows)
 
     def vstack(self, other: "FieldMatrix") -> "FieldMatrix":
@@ -657,16 +655,7 @@ class Subspace:
         if other.dim > self.dim:
             return False
         if self.p == 2:
-            # Each stored row has its lowest set bit at its pivot, so a member
-            # reduces to zero by clearing its lowest set bit, which must be a pivot.
-            by_pivot = dict(zip(self._pivots, self._rows))
-            for w in other._rows:
-                while w:
-                    hit = by_pivot.get((w & -w).bit_length() - 1)
-                    if hit is None:
-                        return False
-                    w ^= hit
-            return True
+            return all(self._reduce_packed(r) == 0 for r in other._rows)
         return all(self.contains(r) for r in other._rows)
 
     # -- lattice operations --------------------------------------------------
@@ -833,15 +822,17 @@ def adapted_basis(levels: Sequence[Subspace]) -> tuple[FieldMatrix, tuple[int, .
     at its pivots new at level k, level by level, then the unit vectors at
     the non-pivots of F_top, have distinct leading columns and form a basis
     B whose first d_k vectors span F_k.  Row i of the returned B^-1 holds
-    the B-coordinates of e_i.  Only the nesting of the pivots is checked;
-    the levels of every ``Filtration`` the package builds are nested.
+    the B-coordinates of e_i.  Raises ``ShapeError`` unless each level
+    contains the one before it: equal pivots alone do not make levels nested.
     """
     p, n = levels[0].p, levels[0].ambient_dim
     rows: list = []
     seen: set[int] = set()
+    prev = None
     for lvl in levels:
-        if lvl.p != p or lvl.ambient_dim != n or not seen.issubset(lvl._pivots):
+        if prev is not None and not lvl.contains_subspace(prev):
             raise ShapeError("levels must increase in one ambient space")
+        prev = lvl
         for row, pv in zip(lvl._rows, lvl._pivots):
             if pv not in seen:
                 rows.append(row)

@@ -549,28 +549,46 @@ def test_graded_views_and_star_read_the_same_sweep(corpus):
             assert levels[k].target_dim == target.preimage(k, w).dim
 
 
+def _functional_map(ma: ComoduleAlgebra, phi) -> FieldMatrix:
+    """(phi (x) id) psi: M -> Sigma, a comodule map for every functional phi."""
+    rows = [[0] * ma.dim for _ in range(ma.sigma.dim)]
+    for i, triples in enumerate(ma.base.psi):
+        for a, k, c in triples:
+            rows[k][i] = (rows[k][i] + phi[a] * c) % ma.p
+    return FieldMatrix(ma.p, rows)
+
+
 def test_star_levels_match_the_literal_coverage_test(base_seed):
     """The non-strict level verdict equals img + (target meet F_{k-1}) >=
     target, on the wedge filtration and on random nested filtrations of
-    Sigma, where F_{k-1} need not lie in the target."""
+    Sigma, where F_{k-1} need not lie in the target.  The maps are the
+    shipped splitting map plus (e_a^* (x) id) psi for each basis functional
+    e_a^*; some of them cover a level modulo F_{k-1} but not on the nose."""
     rng = random.Random(base_seed)
-    outside = 0
+    outside = differs = 0
     for bundle in (bundle_sigma_regular(1), bundle_extended(1, 2), gen_binomial_truncation(3, 6)):
-        ma, f = bundle.comodule_algebra, bundle.splitting_map
+        ma, shipped = bundle.comodule_algebra, bundle.splitting_map
         p, n = ma.p, ma.sigma.dim
         w = ma.grouplikes.vectors[ma.unit_grouplike_index()]
         vecs = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
         dims = sorted(rng.sample(range(1, n + 1), 3))
         nested = Filtration.build(p, n, [Subspace(p, n, vecs[:d]) for d in dims], False)
+        maps = [shipped] + [
+            ComoduleMap(ma.base, shipped.target, shipped.matrix + _functional_map(ma, e))
+            for e in FieldMatrix.identity(p, ma.dim).rows_as_lists()
+        ]
         for filt in (coradical_filtration_wedge(ma.sigma, ma.grouplikes), nested):
-            report = check_star_surjective(ma, f, sigma_filt=filt)
-            for k, result in enumerate(report.levels):
-                target = _sigma_graded_left_primitives(ma.sigma, w, k, filt)
-                img = image(f.matrix, graded_left_primitives(ma, k, filt))
-                below = filt.level(k - 1)
-                outside += not target.contains_subspace(below)
-                assert result.ok == img.add(target.intersect(below)).contains_subspace(target)
-    assert outside > 0
+            for f in maps:
+                report = check_star_surjective(ma, f, sigma_filt=filt)
+                strict = check_star_surjective(ma, f, strict=True, sigma_filt=filt)
+                for k, result in enumerate(report.levels):
+                    target = _sigma_graded_left_primitives(ma.sigma, w, k, filt)
+                    img = image(f.matrix, graded_left_primitives(ma, k, filt))
+                    below = filt.level(k - 1)
+                    outside += not target.contains_subspace(below)
+                    differs += result.ok != strict.levels[k].ok
+                    assert result.ok == img.add(target.intersect(below)).contains_subspace(target)
+    assert outside > 0 and differs > 0
 
 
 def test_adapted_basis_spans_each_level():
@@ -587,7 +605,8 @@ def test_adapted_basis_spans_each_level():
             assert Subspace(b.p, b.ncols, [b.row(j) for j in range(d)]) == filt.level(k)
 
 
-def test_adapted_basis_refuses_levels_that_do_not_increase():
+def test_adapted_basis_refuses_levels_that_do_not_nest():
+    """Including span(e0) then span(e0 + e1), which share their pivot."""
     p, n = 3, 4
     first = Subspace(p, n, [(0, 1, 0, 0)])
     second = Subspace(p, n, [(1, 0, 0, 0)])
@@ -595,6 +614,13 @@ def test_adapted_basis_refuses_levels_that_do_not_increase():
         adapted_basis([first, second])
     with pytest.raises(ShapeError):
         adapted_basis([first, Subspace.full(2, n)])
+    for p in (2, 3):
+        first = Subspace(p, 2, [(1, 0)])
+        second = Subspace(p, 2, [(1, 1)])
+        with pytest.raises(ShapeError):
+            adapted_basis([first, second])
+        with pytest.raises(ShapeError):
+            adapted_basis([first, Subspace.full(p, 2), second])
 
 
 def test_corpus_maps_preserve_both_filtrations(corpus):
