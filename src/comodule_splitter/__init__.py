@@ -28,7 +28,6 @@ from .comodule import (
     ComoduleAlgebra,
     ComoduleMap,
     LeftComodule,
-    check_map_preserves_filtration,
     check_star_surjective,
     comodule_filtration,
     comodule_primitives_at,
@@ -56,7 +55,7 @@ from .errors import (
     StructureMismatch,
     UnsupportedLevel,
 )
-from .field_linalg import FieldMatrix, StaircaseMembership, Subspace
+from .field_linalg import FieldMatrix, Subspace
 from .generators import (
     ExampleBundle,
     SigmaTruncation,
@@ -111,14 +110,12 @@ __all__ = [
     "SigmaTruncation",
     "SplitterError",
     "SplittingCertificate",
-    "StaircaseMembership",
     "StarReport",
     "StructureMismatch",
     "Subspace",
     "UnsupportedLevel",
     "ValidationReport",
     "build_h",
-    "check_map_preserves_filtration",
     "check_pointed_exhaustive",
     "check_star_surjective",
     "comodule_filtration",

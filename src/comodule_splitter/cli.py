@@ -5,8 +5,9 @@ exit-code contract:
 
 * 0 success
 * 1 mathematical failure (validator says no, certificate does not check out)
-* 2 parse or usage error (bad JSON, missing file, unsupported level, a
-  grouplike index out of range, a non-prime p, an unparsable cap)
+* 2 parse or usage error (bad JSON, missing file or corpus directory,
+  unsupported level, a grouplike index out of range, a non-prime p or a
+  generator size out of range, an unparsable cap)
 * 3 resource cap hit (tensor-power cell cap, grouplike search bound)
 * 4 splitting hypothesis not met
 
@@ -265,6 +266,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    if not os.path.isdir(args.dir):
+        raise ParseError(f"{args.dir}: no such directory")
     manifests = sorted(glob.glob(os.path.join(args.dir, "*.bundle.json")))
     if not manifests:
         print(f"warning: no *.bundle.json files under {args.dir}", file=sys.stderr)

@@ -152,13 +152,6 @@ class Comodule:
         labels = tuple(f"{u}*{lab}" for u in range(n) for lab in sigma.labels)
         return cls(sigma, n * s, labels, psi)
 
-    @classmethod
-    def trivial(cls, sigma: Coalgebra, unit_grouplike: Vector) -> "Comodule":
-        """The one-dimensional comodule with psi(1) = 1 (x) unit_grouplike."""
-        g = tuple(x % sigma.p for x in unit_grouplike)
-        triples = tuple((0, k, g[k]) for k in range(sigma.dim) if g[k])
-        return cls(sigma, 1, ("1",), (triples,))
-
     def same_structure(self, other: "Comodule") -> bool:
         """Structural equality that ignores basis labels and enrichments."""
         return (
@@ -611,22 +604,6 @@ def cotensor(m: Comodule, n: LeftComodule) -> Subspace:
     return kernel_from_sparse_cols(p, m.dim * nn, cols)
 
 
-def primitives_cotensor_embedding(m: Comodule, g: GroupLikeSet) -> FieldMatrix:
-    """The map P(M) -> M (x) R sending a g-primitive v to v (x) g, columnwise
-    over the per-grouplike bases.  Landing inside M box R with full rank is
-    exactly the cotensor isomorphism being certified."""
-    r = len(g)
-    cols = []
-    for idx in range(r):
-        pg = comodule_primitives_at(m, g.vectors[idx])
-        for b in pg.basis_vectors():
-            col = [0] * (m.dim * r)
-            for i in range(m.dim):
-                col[i * r + idx] = b[i]
-            cols.append(col)
-    return FieldMatrix.from_cols(m.p, cols, nrows=m.dim * r)
-
-
 # -- graded left primitives and star-surjectivity ------------------------------------
 
 
@@ -638,14 +615,6 @@ def graded_left_primitives(
         sigma_filt = coradical_filtration_wedge(ma.sigma, ma.grouplikes)
     basis = adapted_basis(sigma_filt.levels)
     return AdaptedCoaction(ma.base.psi, ma.dim, *basis).preimage(k, ma.unit)
-
-
-def _sigma_graded_left_primitives(
-    sigma: Coalgebra, w: Vector, k: int, sigma_filt: Filtration
-) -> Subspace:
-    """Same construction on the over-coalgebra itself, with unit vector w."""
-    basis = adapted_basis(sigma_filt.levels)
-    return AdaptedCoaction(sigma.delta, sigma.dim, *basis).preimage(k, w)
 
 
 def check_star_surjective(
@@ -715,19 +684,3 @@ def check_star_surjective(
         strict=strict,
         levels=tuple(levels),
     )
-
-
-def check_map_preserves_filtration(f: ComoduleMap, sigma_filt: Filtration) -> bool:
-    """True iff f(F_k(source)) <= F_k(target) at every level.
-
-    Valid comodule maps always preserve the filtration, so this doubles as a
-    cross-check on the validators: a False result means f is not actually a
-    comodule map (or a filtration was computed against the wrong coalgebra).
-    """
-    src = comodule_filtration(f.source, sigma_filt)
-    tgt = comodule_filtration(f.target, sigma_filt)
-    for k in range(max(src.top, tgt.top) + 1):
-        img = image(f.matrix, src.level(k))
-        if not tgt.level(k).contains_subspace(img):
-            return False
-    return True

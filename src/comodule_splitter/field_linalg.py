@@ -13,19 +13,19 @@ representations, and subspace equality is a tuple comparison.
 
 Each operation has one implementation.  ``_echelon`` is the one echelon
 core: it reduces a batch of rows forward against a table keyed by leading
-column and back-substitutes once at the end.  ``rank``, ``rref``,
-``row_space``, the ``Subspace`` constructor, ``Subspace.add`` and the
-kernel basis of ``kernel_from_sparse_cols`` call it.  ``solve`` and
-``intersect`` eliminate augmented rows [a | b], which ``_join`` and
-``_right`` build and split: those two helpers are the only place where the
-augmented layout depends on p.  ``inverse`` is ``solve`` against the
-identity, ``image`` is a product with the transpose, ``Subspace.tensor`` is
-``kron`` of the two bases, and ``kernel_from_sparse_cols`` is the one kernel
-routine.
+column and back-substitutes once at the end.  ``rank``, ``row_space``, the
+``Subspace`` constructor, ``Subspace.add`` and the kernel basis of
+``kernel_from_sparse_cols`` call it.  ``solve`` eliminates augmented rows
+[a | b], which ``_join`` and ``_right`` build and split: those two helpers
+are the only place where the augmented layout depends on p.  ``inverse`` is
+``solve`` against the identity, ``image`` is a product with the transpose,
+and ``kernel_from_sparse_cols`` is the one kernel routine.  No tensor sum
+of subspaces is ever built: ``AdaptedCoaction`` reads every filtration
+layer off the coaction triples instead.
 
 Tensor index convention used by the whole package: the basis vector
 e_i (x) e_j of F^m (x) F^n sits at position i * n + j.  ``FieldMatrix.kron``
-and ``Subspace.tensor`` both follow it.
+follows it.
 """
 
 from __future__ import annotations
@@ -297,11 +297,6 @@ class FieldMatrix:
                     cols[j][i] = x
         return cols
 
-    def is_zero(self) -> bool:
-        if self.p == 2:
-            return all(r == 0 for r in self._rows)
-        return all(all(x == 0 for x in r) for r in self._rows)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FieldMatrix)
@@ -431,20 +426,11 @@ class FieldMatrix:
 
     # -- elimination -------------------------------------------------------
 
-    def rref(self) -> "FieldMatrix":
-        """The unique reduced row echelon form, same shape, zero rows at the bottom."""
-        rows, _ = _echelon(self.p, self.ncols, self._rows)
-        pad = FieldMatrix.zeros(self.p, self.nrows - len(rows), self.ncols)._rows
-        return FieldMatrix._raw(self.p, self.nrows, self.ncols, rows + pad)
-
     def rank(self) -> int:
         return len(_echelon(self.p, self.ncols, self._rows)[0])
 
     def row_space(self) -> "Subspace":
         return Subspace._raw(self.p, self.ncols, *_echelon(self.p, self.ncols, self._rows))
-
-    def column_space(self) -> "Subspace":
-        return self.transpose().row_space()
 
     def kernel(self) -> "Subspace":
         """Null space {v : A v = 0} as a canonical subspace of F^ncols."""
@@ -667,30 +653,6 @@ class Subspace:
         p, n = self.p, self.ambient_dim
         return Subspace._raw(p, n, *_echelon(p, n, self._rows + other._rows))
 
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: echelonize [a | a] and [b | 0]; rows supported on the
-        right half span the intersection."""
-        if self.p != other.p or self.ambient_dim != other.ambient_dim:
-            raise ShapeError("subspaces live in different ambient spaces")
-        p, n = self.p, self.ambient_dim
-        zero = FieldMatrix.zeros(p, 1, n)._rows[0]
-        joined = [_join(p, a, a, n) for a in self._rows] + [_join(p, b, zero, n) for b in other._rows]
-        rows, pivots = _echelon(p, 2 * n, joined)
-        right = [_right(p, r, n) for t, r in zip(pivots, rows) if t >= n]
-        return Subspace._raw(p, n, *_echelon(p, n, right))
-
-    def tensor(self, other: "Subspace") -> "Subspace":
-        """The subspace self (x) other of F^(m*n).
-
-        The Kronecker products of two canonical bases are again a canonical
-        basis (pivot of a_i (x) b_j is pivot(a_i)*n + pivot(b_j)), so no
-        elimination is needed.
-        """
-        m = self.basis_matrix().kron(other.basis_matrix())
-        n = other.ambient_dim
-        pivots = tuple(pa * n + pb for pa in self._pivots for pb in other._pivots)
-        return Subspace._raw(self.p, m.ncols, m._rows, pivots)
-
     def quotient_matrix(self) -> FieldMatrix:
         """Matrix of the quotient map F^n -> F^n / self.
 
@@ -721,94 +683,11 @@ class Subspace:
         return FieldMatrix._raw(p, len(nps), n, tuple(rows))
 
 
-def image(m: FieldMatrix, s: Subspace | None = None) -> Subspace:
-    """Image of a subspace (default: the whole domain) under m."""
-    if s is None:
-        return m.column_space()
+def image(m: FieldMatrix, s: Subspace) -> Subspace:
+    """Image of a subspace of the domain under m."""
     if s.ambient_dim != m.ncols:
         raise ShapeError("subspace must live in the domain of the matrix")
     return (s.basis_matrix() @ m.transpose()).row_space()
-
-
-# -- staircase tensor sums ----------------------------------------------------
-
-
-class StaircaseMembership:
-    """Membership test for A_1 (x) B_1 + ... + A_r (x) B_r.
-
-    Requires a staircase: A_1 >= A_2 >= ... >= A_r and B_1 <= ... <= B_r.
-    Such a sum is the intersection of the corner conditions
-
-        w  in  A_{i+1} (x) F^n  +  F^m (x) B_i      for i = 0..r
-
-    (with A_{r+1} = 0 and B_0 = 0), and each corner condition says that the
-    sandwich  q_{A_{i+1}} W q_{B_i}^T  of the coefficient matrix W of w
-    vanishes.  That turns a huge subspace sum into a few small products.
-    """
-
-    def __init__(self, terms: Sequence[tuple[Subspace, Subspace]]):
-        if not terms:
-            raise ShapeError("at least one term is required")
-        self.p = terms[0][0].p
-        self.left_dim = terms[0][0].ambient_dim
-        self.right_dim = terms[0][1].ambient_dim
-        for a, b in terms:
-            if a.p != self.p or b.p != self.p:
-                raise ShapeError("mixed characteristics")
-            if a.ambient_dim != self.left_dim or b.ambient_dim != self.right_dim:
-                raise ShapeError("terms live in different ambient spaces")
-        for i in range(len(terms) - 1):
-            if not terms[i][0].contains_subspace(terms[i + 1][0]):
-                raise ShapeError("left factors must decrease along the staircase")
-            if not terms[i + 1][1].contains_subspace(terms[i][1]):
-                raise ShapeError("right factors must increase along the staircase")
-        r = len(terms)
-        zero_l = Subspace.zero(self.p, self.left_dim)
-        zero_r = Subspace.zero(self.p, self.right_dim)
-        self._conds: list[tuple[FieldMatrix, FieldMatrix]] = []
-        for i in range(r + 1):
-            a_next = terms[i][0] if i < r else zero_l
-            b_cur = terms[i - 1][1] if i >= 1 else zero_r
-            if not (a_next.is_full() or b_cur.is_full()):
-                self._conds.append((a_next.quotient_matrix(), b_cur.quotient_matrix()))
-
-    def contains(self, vec: Vector) -> bool:
-        m, n = self.left_dim, self.right_dim
-        if len(vec) != m * n:
-            raise ShapeError(f"vector has length {len(vec)}, expected {m * n}")
-        if self.p == 2:
-            w = _pack(vec)
-            nmask = (1 << n) - 1
-            wrows = [(w >> (i * n)) & nmask for i in range(m)]
-            for qa, qb in self._conds:
-                for qarow in qa._rows:
-                    acc = 0
-                    t = qarow
-                    while t:
-                        i = (t & -t).bit_length() - 1
-                        acc ^= wrows[i]
-                        t &= t - 1
-                    if acc:
-                        for qbrow in qb._rows:
-                            if (acc & qbrow).bit_count() & 1:
-                                return False
-            return True
-        p = self.p
-        wrows = [[vec[i * n + j] % p for j in range(n)] for i in range(m)]
-        for qa, qb in self._conds:
-            for qarow in qa._rows:
-                acc = [0] * n
-                for i, x in enumerate(qarow):
-                    if x:
-                        wi = wrows[i]
-                        for j in range(n):
-                            if wi[j]:
-                                acc[j] = (acc[j] + x * wi[j]) % p
-                if any(acc):
-                    for qbrow in qb._rows:
-                        if sum(x * y for x, y in zip(acc, qbrow)) % p:
-                            return False
-        return True
 
 
 # -- filtration-adapted coordinates ----------------------------------------------

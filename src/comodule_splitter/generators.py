@@ -37,7 +37,7 @@ from .coalgebra import (
     tensor_product,
     validate_coalgebra,
 )
-from .comodule import Comodule, ComoduleAlgebra, ComoduleMap
+from .comodule import Comodule, ComoduleAlgebra, ComoduleMap, _left_mult_matrix
 from .errors import (
     GeneratedObjectInvalid,
     ParseError,
@@ -76,28 +76,11 @@ def _cyclic_coalgebra(p: int, n: int) -> Coalgebra:
     return Coalgebra(p, n, labels, delta, counit, grouplikes, product)
 
 
-def _left_mult_by_basis(c: Coalgebra, idx: int) -> FieldMatrix:
+def _grouplike_left_mults(c: Coalgebra, g: GroupLikeSet) -> tuple[FieldMatrix, ...]:
+    """Left multiplication by each grouplike, read off the product table."""
     if c.product is None:
         raise StructureMismatch("coalgebra carries no product table")
-    cols = []
-    for j in range(c.dim):
-        col = [0] * c.dim
-        for k, coeff in c.product[idx][j]:
-            col[k] = (col[k] + coeff) % c.p
-        cols.append(col)
-    return FieldMatrix.from_cols(c.p, cols, nrows=c.dim)
-
-
-def _grouplike_left_mults(c: Coalgebra, g: GroupLikeSet) -> tuple[FieldMatrix, ...]:
-    """Left multiplication by each grouplike, for grouplikes that are basis
-    vectors (which all generated coalgebras arrange)."""
-    mats = []
-    for vec in g:
-        ones = [i for i, x in enumerate(vec) if x]
-        if len(ones) != 1 or vec[ones[0]] != 1:
-            raise StructureMismatch("grouplike is not a basis vector")
-        mats.append(_left_mult_by_basis(c, ones[0]))
-    return tuple(mats)
+    return tuple(_left_mult_matrix(c.product, c.p, c.dim, vec) for vec in g)
 
 
 def _regular_bundle(name: str, c: Coalgebra, expected: str = "certified") -> ExampleBundle:
@@ -128,7 +111,7 @@ def gen_group_algebra(p: int, n: int) -> ExampleBundle:
     """k[Z/n] over F_p: every basis element grouplike, coradical everything."""
     _require_prime(p)
     if n < 1:
-        raise ShapeError("group order must be at least 1")
+        raise ParseError(f"group order must be at least 1, got {n}")
     return _regular_bundle(f"group_algebra_{p}_{n}_id", _cyclic_coalgebra(p, n))
 
 
@@ -155,7 +138,7 @@ def gen_binomial_truncation(p: int, d: int) -> ExampleBundle:
     """
     _require_prime(p)
     if d < 2:
-        raise ShapeError("truncation degree must be at least 2")
+        raise ParseError(f"truncation degree must be at least 2, got {d}")
     c = _binomial_coalgebra(p, d)
     g = find_grouplikes(c, "declared")
     reg = Comodule.regular(c)
@@ -313,7 +296,7 @@ def gen_extended_comodule(sigma: Coalgebra, a_dim: int, name: str | None = None)
     Requires the product table on sigma so the action matrices exist.
     """
     if a_dim < 1:
-        raise ShapeError("the algebra factor must have dimension at least 1")
+        raise ParseError(f"the algebra factor must have dimension at least 1, got {a_dim}")
     g = find_grouplikes(sigma, "declared")
     lam = _grouplike_left_mults(sigma, g)
     p = sigma.p

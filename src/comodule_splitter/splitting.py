@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .coalgebra import Filtration, coradical_filtration_wedge
 from .comodule import (
     Comodule,
     ComoduleAlgebra,
@@ -204,7 +203,6 @@ def build_h(
     f: ComoduleMap,
     strict: bool = False,
     force: bool = False,
-    sigma_filt: Filtration | None = None,
 ) -> SplittingCertificate:
     """Run the full pipeline and certify the result.
 
@@ -215,9 +213,7 @@ def build_h(
     hypothesis holds; that contradicts the theorem, so treat it as an alarm,
     not an input error.
     """
-    if sigma_filt is None:
-        sigma_filt = coradical_filtration_wedge(ma.sigma, ma.grouplikes)
-    star = check_star_surjective(ma, f, strict=strict, sigma_filt=sigma_filt)
+    star = check_star_surjective(ma, f, strict=strict)
     if not star.ok and not force:
         raise HypothesisNotMet(star)
     p1 = _p1(ma)
@@ -239,7 +235,6 @@ def recheck_certificate(
     cert: SplittingCertificate,
     ma: ComoduleAlgebra,
     f: ComoduleMap,
-    sigma_filt: Filtration | None = None,
 ) -> ValidationReport:
     """Re-verify a certificate from scratch against the given inputs.
 
@@ -247,9 +242,7 @@ def recheck_certificate(
     the residual are all recomputed, and the stored values must match.
     """
     checks = []
-    if sigma_filt is None:
-        sigma_filt = coradical_filtration_wedge(ma.sigma, ma.grouplikes)
-    star = check_star_surjective(ma, f, strict=cert.star_report.strict, sigma_filt=sigma_filt)
+    star = check_star_surjective(ma, f, strict=cert.star_report.strict)
     stored = cert.star_report.to_json_dict()
     mismatch = next(
         (

@@ -18,7 +18,6 @@ from comodule_splitter import (
     FieldMatrix,
     HypothesisNotMet,
     LeftComodule,
-    StaircaseMembership,
     Subspace,
     build_h,
     check_pointed_exhaustive,
@@ -41,7 +40,7 @@ from comodule_splitter.generators import (
     gen_random_pointed,
     gen_sigma_truncation,
 )
-from oracles import preimage
+from oracles import StaircaseMembership, intersect, preimage, tensor
 
 THEOREM_PAIRS = (
     "sigma_level0_id",
@@ -229,7 +228,7 @@ def test_criterion_4_lemma_suite(capsys, corpus):
             dm = c.delta_matrix()
             full = Subspace.full(c.p, c.dim)
             for k in range(len(filt.levels)):
-                left_k = preimage(dm, filt.level(k).tensor(full))
+                left_k = preimage(dm, tensor(filt.level(k), full))
                 assert right.level(k) == filt.level(k) == left_k, (level, k)
 
         assert time.monotonic() - start < 60.0
@@ -316,7 +315,7 @@ def test_criterion_7_linear_algebra_battery(capsys, base_seed):
                 ]
                 u = Subspace.from_vectors(p, n, rand_vecs())
                 w = Subspace.from_vectors(p, n, rand_vecs())
-                assert u.add(w).dim + u.intersect(w).dim == u.dim + w.dim
+                assert u.add(w).dim + intersect(u, w).dim == u.dim + w.dim
 
         rng = random.Random(base_seed)
         for ncols, nrows in ((4, 3), (6, 5), (8, 4), (10, 6)):

@@ -640,6 +640,14 @@ def test_corpus_empty_directory_warns(capsys, tmp_path):
     assert "warning" in err
 
 
+def test_corpus_missing_directory_exits_2(capsys, tmp_path):
+    missing = str(tmp_path / "no_such_dir")
+    code, out, err = _run(capsys, "corpus", "--dir", missing)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: ParseError: {missing}: no such directory\n"
+
+
 def test_corpus_flags_a_falsified_expectation(capsys, tmp_path):
     assert _run(capsys, "generate", "binomial", "--out", str(tmp_path))[0] == 0
     manifest = tmp_path / "binomial_2_4_id.bundle.json"
@@ -711,4 +719,18 @@ def test_generate_refuses_a_non_prime_p(capsys, tmp_path):
         assert code == 2, argv
         assert out == ""
         assert "prime" in err
+        assert os.listdir(out_dir) == []
+
+
+def test_generate_refuses_bad_sizes_with_exit_2(capsys, tmp_path):
+    for argv in (
+        ("binomial", "--d", "1"),
+        ("group-algebra", "--n", "0"),
+        ("extended", "--level", "0", "--a-dim", "0"),
+    ):
+        out_dir = tmp_path / argv[0]
+        code, out, err = _run(capsys, "generate", *argv, "--out", str(out_dir))
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: ParseError: ") and err.count("\n") == 1, err
         assert os.listdir(out_dir) == []

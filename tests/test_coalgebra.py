@@ -36,11 +36,7 @@ from comodule_splitter.errors import (
     SearchSpaceTooLarge,
     ShapeError,
 )
-from comodule_splitter.field_linalg import (
-    FieldMatrix,
-    StaircaseMembership,
-    Subspace,
-)
+from comodule_splitter.field_linalg import FieldMatrix, Subspace
 from comodule_splitter.generators import (
     gen_binomial_truncation,
     gen_group_algebra,
@@ -48,7 +44,7 @@ from comodule_splitter.generators import (
     gen_random_pointed,
     gen_sigma_truncation,
 )
-from oracles import staircase_preimage
+from oracles import StaircaseMembership, staircase_preimage
 
 
 def cyclic(p: int, n: int) -> Coalgebra:

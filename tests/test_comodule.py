@@ -25,15 +25,12 @@ from comodule_splitter.comodule import (
     ComoduleAlgebra,
     ComoduleMap,
     LeftComodule,
-    _sigma_graded_left_primitives,
-    check_map_preserves_filtration,
     check_star_surjective,
     comodule_filtration,
     comodule_primitives_at,
     comodule_primitives_total,
     cotensor,
     graded_left_primitives,
-    primitives_cotensor_embedding,
     validate_comodule,
     validate_comodule_algebra,
 )
@@ -46,7 +43,6 @@ from comodule_splitter.errors import (
 from comodule_splitter.field_linalg import (
     AdaptedCoaction,
     FieldMatrix,
-    StaircaseMembership,
     Subspace,
     adapted_basis,
     image,
@@ -59,7 +55,16 @@ from comodule_splitter.generators import (
     gen_random_pointed,
     gen_sigma_truncation,
 )
-from oracles import preimage, staircase_preimage, staircase_sum
+from oracles import (
+    StaircaseMembership,
+    check_map_preserves_filtration,
+    intersect,
+    preimage,
+    primitives_cotensor_embedding,
+    staircase_preimage,
+    staircase_sum,
+    tensor,
+)
 
 
 def _sigma_filt(c):
@@ -245,7 +250,7 @@ def test_three_filtrations_agree_for_regular(corpus):
             # right version psi^{-1}(M (x) F_k) computed by comodule_filtration
             assert right.level(k) == coalg.level(k)
             # left version Delta^{-1}(F_k (x) C) computed here from scratch
-            left_k = preimage(dmat, coalg.level(k).tensor(full))
+            left_k = preimage(dmat, tensor(coalg.level(k), full))
             assert left_k == coalg.level(k)
 
 
@@ -257,7 +262,7 @@ def test_extended_comodule_filtration_is_v_tensor_f(corpus):
         mfilt = comodule_filtration(bundle.comodule_algebra.base, filt)
         v_full = Subspace.full(sigma.p, a_dim)
         for k in range(filt.top + 1):
-            assert mfilt.level(k) == v_full.tensor(filt.level(k))
+            assert mfilt.level(k) == tensor(v_full, filt.level(k))
 
 
 # -- primitives ------------------------------------------------------------------------
@@ -444,12 +449,13 @@ def test_staircase_preimages_match_the_literal_route(corpus, base_seed):
         assert total == f0_m and report.f0_dim == f0_m.dim
         w = ma.grouplikes.vectors[ma.unit_grouplike_index()]
         eta, w_line = Subspace(p, m.dim, [ma.unit]), Subspace(p, sigma.dim, [w])
+        sigma_sweep = AdaptedCoaction(sigma.delta, sigma.dim, *adapted_basis(filt.levels))
         for k in range(filt.top + 1):
             below, at = filt.level(k - 1), filt.level(k)
             assert graded_left_primitives(ma, k, filt) == _literal_preimage(
                 psi, [(full_m, below), (eta, at)]
             )
-            assert _sigma_graded_left_primitives(sigma, w, k, filt) == _literal_preimage(
+            assert sigma_sweep.preimage(k, w) == _literal_preimage(
                 delta, [(full_s, below), (w_line, at)]
             )
 
@@ -532,8 +538,8 @@ def test_sweep_matches_the_staircase_route_on_the_sigma_side(corpus):
 
 
 def test_graded_views_and_star_read_the_same_sweep(corpus):
-    """graded_left_primitives and _sigma_graded_left_primitives are views of
-    AdaptedCoaction, and the star report's dimensions are theirs."""
+    """graded_left_primitives is a view of AdaptedCoaction, and the star
+    report's dimensions are those of the two sweeps."""
     for ma in _sweep_algebras(corpus)[-5:]:
         filt = coradical_filtration_wedge(ma.sigma, ma.grouplikes)
         w = ma.grouplikes.vectors[ma.unit_grouplike_index()]
@@ -544,7 +550,6 @@ def test_graded_views_and_star_read_the_same_sweep(corpus):
         levels = check_star_surjective(ma, f, sigma_filt=filt).levels
         for k in range(filt.top + 1):
             assert graded_left_primitives(ma, k, filt) == source.preimage(k, ma.unit)
-            assert _sigma_graded_left_primitives(ma.sigma, w, k, filt) == target.preimage(k, w)
             assert levels[k].source_dim == source.preimage(k, ma.unit).dim
             assert levels[k].target_dim == target.preimage(k, w).dim
 
@@ -578,16 +583,17 @@ def test_star_levels_match_the_literal_coverage_test(base_seed):
             for e in FieldMatrix.identity(p, ma.dim).rows_as_lists()
         ]
         for filt in (coradical_filtration_wedge(ma.sigma, ma.grouplikes), nested):
+            sweep = AdaptedCoaction(ma.sigma.delta, n, *adapted_basis(filt.levels))
             for f in maps:
                 report = check_star_surjective(ma, f, sigma_filt=filt)
                 strict = check_star_surjective(ma, f, strict=True, sigma_filt=filt)
                 for k, result in enumerate(report.levels):
-                    target = _sigma_graded_left_primitives(ma.sigma, w, k, filt)
+                    target = sweep.preimage(k, w)
                     img = image(f.matrix, graded_left_primitives(ma, k, filt))
                     below = filt.level(k - 1)
                     outside += not target.contains_subspace(below)
                     differs += result.ok != strict.levels[k].ok
-                    assert result.ok == img.add(target.intersect(below)).contains_subspace(target)
+                    assert result.ok == img.add(intersect(target, below)).contains_subspace(target)
     assert outside > 0 and differs > 0
 
 
@@ -735,6 +741,6 @@ def test_left_comodule_validate_names_its_witnesses():
 
 def test_trivial_comodule():
     sigma = gen_sigma_truncation(0).coalgebra
-    t = Comodule.trivial(sigma, (1, 0, 0))
+    t = Comodule(sigma, 1, ("1",), (((0, 0, 1),),))
     assert validate_comodule(t).ok
     assert t.dim == 1
