@@ -34,7 +34,6 @@ from .coalgebra import (
     validate_coalgebra,
 )
 from .comodule import (
-    Comodule,
     ComoduleAlgebra,
     LeftComodule,
     check_star_surjective,
@@ -282,31 +281,32 @@ def cmd_corpus(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    # Build before making the directory, so a refused request leaves none.
+    if args.kind == "group-algebra":
+        bundles = [gen_group_algebra(args.p, args.n)]
+    elif args.kind == "binomial":
+        bundles = [gen_binomial_truncation(args.p, args.d)]
+    elif args.kind == "sigma":
+        bundles = [bundle_sigma_regular(args.level)]
+    elif args.kind == "extended":
+        bundles = [bundle_extended(args.level, args.a_dim)]
+    elif args.kind == "control":
+        bundles = [bundle_negative_control()]
+    elif args.kind == "corpus":
+        bundles = shipped_corpus()
+    elif args.kind == "random":
+        bundles = [gen_random_pointed(args.seed)]
+    else:
+        bundles = [gen_non_pointed()]
     os.makedirs(args.out, exist_ok=True)
     written: list[str] = []
-    if args.kind == "group-algebra":
-        written += write_bundle(gen_group_algebra(args.p, args.n), args.out)
-    elif args.kind == "binomial":
-        written += write_bundle(gen_binomial_truncation(args.p, args.d), args.out)
-    elif args.kind == "sigma":
-        written += write_bundle(bundle_sigma_regular(args.level), args.out)
-    elif args.kind == "extended":
-        written += write_bundle(bundle_extended(args.level, args.a_dim), args.out)
-    elif args.kind == "control":
-        written += write_bundle(bundle_negative_control(), args.out)
-    elif args.kind == "corpus":
-        for bundle in shipped_corpus():
+    for bundle in bundles:
+        if args.kind in ("random", "non-pointed"):
+            name = f"{bundle.name}.json"
+            write_coalgebra(bundle.coalgebra, os.path.join(args.out, name))
+            written.append(name)
+        else:
             written += write_bundle(bundle, args.out)
-    elif args.kind == "random":
-        bundle = gen_random_pointed(args.seed)
-        name = f"{bundle.name}.json"
-        write_coalgebra(bundle.coalgebra, os.path.join(args.out, name))
-        written.append(name)
-    elif args.kind == "non-pointed":
-        bundle = gen_non_pointed()
-        name = f"{bundle.name}.json"
-        write_coalgebra(bundle.coalgebra, os.path.join(args.out, name))
-        written.append(name)
     _emit({"out": args.out, "written": sorted(written)})
     return 0
 

@@ -8,8 +8,9 @@ computed two independent ways:
 * directly, as kernels of iterated comultiplications composed with the
   quotient by the span of the grouplikes, and
 * by the wedge recursion  F_n = preimage of C (x) F_{n-1} + F_0 (x) C
-  under the comultiplication, the kernel of q_{F_0} (x) q_{F_{n-1}} applied
-  to the Delta triples, without building that sum.
+  under the comultiplication, without building that sum: each level is
+  read off an ``AdaptedCoaction`` of the Delta triples with q_{F_0} applied
+  on the left and the quotient coordinates of F_{n-1} on the right.
 
 The two must agree level by level; the test suite leans on that heavily.
 Exhaustion of the wedge filtration starting from the span of all grouplikes
@@ -43,7 +44,6 @@ from .field_linalg import (
     _add_mod,
     _pack,
     _unpack,
-    adapted_basis,
     image,
     kernel_from_sparse_cols,
 )
@@ -352,7 +352,7 @@ def _coradical_span(c: Coalgebra, g: GroupLikeSet) -> Subspace:
     r = g.span()
     # R (x) R = (C (x) R) meet (R (x) C), and Delta lands in R (x) C exactly
     # when Delta with its two factors swapped lands in C (x) R.
-    basis = adapted_basis([r])
+    basis = (r.quotient_matrix().transpose(), (0,))
     swapped = tuple(tuple((k, j, x) for j, k, x in t) for t in c.delta)
     for triples in (c.delta, swapped):
         if not AdaptedCoaction(triples, c.dim, *basis).preimage(0).contains_subspace(r):
@@ -368,68 +368,29 @@ def coradical_filtration_wedge(
     """Socle filtration by the wedge recursion F_n = Delta^{-1}(C (x) F_{n-1} + F_0 (x) C).
 
     That sum is the kernel of q_{F_0} (x) q_{F_{n-1}}.  So q_{F_0} (x) id is
-    applied to the Delta triples once, grouped by right index, and each level
-    only applies q_{F_{n-1}} on the right.  The levels are nested by
+    applied to the Delta triples once, and each level is the one-level
+    ``AdaptedCoaction`` preimage of those triples with the right factor in
+    the quotient coordinates of F_{n-1}.  The levels are nested by
     construction, so no staircase shape is proved for them.
     """
     r = _coradical_span(c, g)
     p, n = c.p, c.dim
+    q0cols = r.quotient_matrix().sparse_cols()
+    width = n - r.dim
+    left = [
+        [(s, k, x * z) for a, k, x in triples for s, z in q0cols[a].items()] for triples in c.delta
+    ]
     levels = [r]
-    if r.is_full():
-        return Filtration.build(p, n, levels, True)
-    q0 = r.quotient_matrix()
-    width = q0.nrows
-    left_quotients = _left_quotient_by_right_index(c, q0)
-    stabilized = False
+    stabilized = r.is_full()
     while not stabilized and (k_max is None or len(levels) - 1 < k_max):
-        if p == 2:
-            qcols = levels[-1].quotient_matrix().packed_cols()
-            cols: list = []
-            for by_right in left_quotients:
-                col = 0
-                for k, y in by_right.items():
-                    t = qcols[k]
-                    while t:
-                        low = t & -t
-                        col ^= y << ((low.bit_length() - 1) * width)
-                        t ^= low
-                cols.append(col)
-        else:
-            qcols = levels[-1].quotient_matrix().sparse_cols()
-            cols = []
-            for by_right in left_quotients:
-                col = {}
-                for k, y in by_right.items():
-                    for t, x in qcols[k].items():
-                        for s, z in y.items():
-                            _add_mod(col, t * width + s, x * z, p)
-                cols.append(col)
-        nxt = kernel_from_sparse_cols(p, n, cols)
+        coords = levels[-1].quotient_matrix().transpose()
+        nxt = AdaptedCoaction(left, width, coords, (0,)).preimage(0)
         if nxt == levels[-1]:
             stabilized = True
             break
         levels.append(nxt)
         stabilized = nxt.is_full()
     return Filtration.build(p, n, levels, stabilized)
-
-
-def _left_quotient_by_right_index(c: Coalgebra, q: FieldMatrix) -> list[dict]:
-    """(q (x) id) Delta(e_i) for each i, as a dict from right index k to the
-    nonzero left factor: a packed int over F_2, a sparse dict over odd p."""
-    p = c.p
-    qcols = q.packed_cols() if p == 2 else q.sparse_cols()
-    out = []
-    for triples in c.delta:
-        by_right: dict = {}
-        for a, k, x in triples:
-            if p == 2:
-                by_right[k] = by_right.get(k, 0) ^ qcols[a]
-            else:
-                y = by_right.setdefault(k, {})
-                for s, z in qcols[a].items():
-                    _add_mod(y, s, x * z, p)
-        out.append({k: y for k, y in by_right.items() if y})
-    return out
 
 
 def coradical_filtration_direct(

@@ -381,12 +381,10 @@ def validate_comodule_algebra(ma: ComoduleAlgebra) -> ValidationReport:
         checks.append(CheckResult("identity_acts_trivially", ma.action[w_idx] == ident))
 
     witness = None
-    inverses: list[FieldMatrix | None] = []
     for idx, a in enumerate(ma.action):
         try:
-            inverses.append(a.inverse())
+            a.inverse()
         except ShapeError:
-            inverses.append(None)
             if witness is None:
                 witness = f"grouplike {idx}"
     checks.append(CheckResult("action_invertible", witness is None, witness))
@@ -561,7 +559,7 @@ def comodule_primitives_total(
         pg = comodule_primitives_at(m, vec)
         dims.append(pg.dim)
         total = total.add(pg)
-    f0 = AdaptedCoaction(m.psi, m.dim, *adapted_basis([g.span()])).preimage(0)
+    f0 = AdaptedCoaction(m.psi, m.dim, g.span().quotient_matrix().transpose(), (0,)).preimage(0)
     report = PrimitivesReport(
         total_dim=total.dim,
         per_grouplike_dims=tuple(dims),

@@ -39,7 +39,7 @@ import os
 from contextlib import contextmanager
 from contextvars import ContextVar
 
-from .coalgebra import Coalgebra, GroupLikeSet, find_grouplikes
+from .coalgebra import Coalgebra, find_grouplikes
 from .comodule import Comodule, ComoduleAlgebra, ComoduleMap
 from .errors import ParseError
 from .field_linalg import FieldMatrix, Subspace, _is_prime

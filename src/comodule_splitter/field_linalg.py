@@ -19,9 +19,11 @@ column and back-substitutes once at the end.  ``rank``, ``row_space``, the
 [a | b], which ``_join`` and ``_right`` build and split: those two helpers
 are the only place where the augmented layout depends on p.  ``inverse`` is
 ``solve`` against the identity, ``image`` is a product with the transpose,
-and ``kernel_from_sparse_cols`` is the one kernel routine.  No tensor sum
-of subspaces is ever built: ``AdaptedCoaction`` reads every filtration
-layer off the coaction triples instead.
+and ``kernel_from_sparse_cols`` is the one kernel routine.
+``AdaptedCoaction.preimage`` is the one preimage of a tensor sum: it reads
+every filtration layer, the wedge levels included, off the coaction
+triples, and no tensor sum is built.  Only this module reads the internal
+row format, apart from the bitmask grouplike search in ``coalgebra``.
 
 Tensor index convention used by the whole package: the basis vector
 e_i (x) e_j of F^m (x) F^n sits at position i * n + j.  ``FieldMatrix.kron``
@@ -385,13 +387,8 @@ class FieldMatrix:
         if self.p == 2:
             rows = tuple(self.packed_cols())
         else:
-            rows = tuple(self.col(j) for j in range(self.ncols))
+            rows = tuple(zip(*self._rows)) if self._rows else ((),) * self.ncols
         return FieldMatrix._raw(self.p, self.ncols, self.nrows, rows)
-
-    def vstack(self, other: "FieldMatrix") -> "FieldMatrix":
-        if self.p != other.p or self.ncols != other.ncols:
-            raise ShapeError("vstack needs matching column counts")
-        return FieldMatrix._raw(self.p, self.nrows + other.nrows, self.ncols, self._rows + other._rows)
 
     def kron(self, other: "FieldMatrix") -> "FieldMatrix":
         """Kronecker product; block (i, j) of the result is a_ij * other."""
@@ -584,9 +581,6 @@ class Subspace:
         m = self.basis_matrix()
         return [m.row(i) for i in range(m.nrows)]
 
-    def is_zero(self) -> bool:
-        return not self._rows
-
     def is_full(self) -> bool:
         return len(self._rows) == self.ambient_dim
 
@@ -724,16 +718,18 @@ def adapted_basis(levels: Sequence[Subspace]) -> tuple[FieldMatrix, tuple[int, .
 
 class AdaptedCoaction:
     """psi(e_i) = sum of c * e_a (x) e_k over the triples (a, k, c) of
-    coaction[i], with the right factor rewritten once in an adapted basis B.
+    coaction[i], with the right factor rewritten once in coordinates b_j.
 
-    ``coords`` and ``dims`` come from ``adapted_basis``; the triples must lie
-    in range, as those of ``Comodule.psi`` and ``Coalgebra.delta`` do, which
-    their constructors check.  Column i holds
-    psi(e_i) with the component at e_a (x) b_j at index j * left_dim + a:
-    over F_2 as a packed int, over odd p as a dict.  Since F_k is spanned by
-    b_0 .. b_{d_k - 1}, every preimage of a filtration layer is a kernel of
-    shifted and masked columns, with no tensor sum, quotient matrix or
-    staircase proof.
+    Row k of ``coords`` holds the coordinates of e_k, in any coordinates in
+    which F_k is the first d_k of them (v lies in F_k exactly when its
+    coordinates from d_k on vanish), with ``dims`` the d_k: those of an
+    ``adapted_basis``, or with dims (0,) the quotient coordinates
+    ``F_0.quotient_matrix().transpose()``, which need no inverse.  The
+    triples must lie in range, as those of ``Comodule.psi`` and
+    ``Coalgebra.delta`` do.  Column i holds psi(e_i) with the component at
+    e_a (x) b_j at index j * left_dim + a: over F_2 as a packed int, over
+    odd p as a dict.  Every preimage of a filtration layer is then a kernel
+    of shifted and masked columns, with no tensor sum or staircase proof.
     """
 
     def __init__(self, coaction, left_dim: int, coords: FieldMatrix, dims: Sequence[int]):
@@ -741,19 +737,22 @@ class AdaptedCoaction:
         self.p, self.left_dim, self.dims = p, left_dim, tuple(dims)
         cols: list = []
         if p == 2:
-            spread = []
+            # One bit per term: shifting a one-word int by a large index is
+            # much cheaper than shifting a wide int, which matters at large n.
+            keys = []
             for row in coords._rows:
-                s = 0
+                row_keys = []
                 while row:
                     low = row & -row
-                    s |= 1 << ((low.bit_length() - 1) * width)
+                    row_keys.append((low.bit_length() - 1) * width)
                     row ^= low
-                spread.append(s)
+                keys.append(row_keys)
             for triples in coaction:
                 col = 0
                 for a, k, c in triples:
                     if c & 1:
-                        col ^= spread[k] << a
+                        for key in keys[k]:
+                            col ^= 1 << (key + a)
                 cols.append(col)
         else:
             sparse = [[(j * width, x) for j, x in enumerate(row) if x] for row in coords._rows]
@@ -785,7 +784,9 @@ class AdaptedCoaction:
         lead = None if unit is None else next((a for a, x in enumerate(unit) if x % p), None)
         shift = lo * width
         if lead is None or hi == lo:
-            if p == 2:
+            if not shift:
+                cols = self._cols
+            elif p == 2:
                 cols = [c >> shift for c in self._cols]
             else:
                 cols = [{key - shift: x for key, x in c.items() if key >= shift} for c in self._cols]

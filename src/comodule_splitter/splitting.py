@@ -49,7 +49,7 @@ from .errors import (
     HypothesisNotMet,
     ShapeError,
 )
-from .field_linalg import FieldMatrix, Subspace, _echelon
+from .field_linalg import FieldMatrix, Subspace
 from .reporting import (
     CheckResult,
     CorpusItemResult,
@@ -72,16 +72,12 @@ def retraction_onto(s: Subspace) -> FieldMatrix:
     where S_D is the d x d block of the echelon basis on the columns D.
     """
     p, n, d = s.p, s.ambient_dim, s.dim
-    if p == 2:
-        flipped = (int(format(r, f"0{n}b")[::-1], 2) for r in s._rows)
-    else:
-        flipped = (r[::-1] for r in s._rows)
-    row_of = {n - 1 - pv: t for t, pv in enumerate(_echelon(p, n, flipped)[1])}
+    flipped = Subspace(p, n, [v[::-1] for v in s.basis_vectors()])
+    row_of = {n - 1 - pv: t for t, pv in enumerate(flipped.pivots)}
     select = FieldMatrix.from_sparse_cols(
         p, d, [{row_of[j]: 1} if j in row_of else {} for j in range(n)]
     )
-    basis_t = FieldMatrix._raw(p, d, n, s._rows).transpose()
-    return (select @ basis_t).inverse() @ select
+    return (select @ s.basis_matrix().transpose()).inverse() @ select
 
 
 def _p1(ma: ComoduleAlgebra) -> Subspace:

@@ -12,7 +12,9 @@ build a tensor sum in full and reduce a dense matrix against it.
 its corner conditions, and ``staircase_preimage`` reads the preimage of one
 staircase tensor sum off the coaction triples through those corner pairs:
 the per-level route, one fresh call per layer, that ``AdaptedCoaction``
-replaced.  It is held to the literal route in turn.
+replaced.  It is held to the literal route in turn.  ``spread_rewrite`` is
+the F_2 rewrite ``AdaptedCoaction`` used to do, one wide spread row shifted
+per triple.
 
 ``primitives_cotensor_embedding`` and ``check_map_preserves_filtration``
 state two structural lemmas on comodules, P(M) = M box R and
@@ -336,3 +338,26 @@ def check_map_preserves_filtration(f: ComoduleMap, sigma_filt: Filtration) -> bo
         if not tgt.level(k).contains_subspace(img):
             return False
     return True
+
+
+def spread_rewrite(coaction, left_dim: int, coords: FieldMatrix) -> list[int]:
+    """The packed F_2 columns of ``AdaptedCoaction``, one triple at a time:
+    row k of coords is spread to bit j * left_dim for each set bit j, and
+    each triple (a, k, c) with c odd XORs that spread shifted by a."""
+    width = left_dim
+    spread = []
+    for row in coords._rows:
+        s = 0
+        while row:
+            low = row & -row
+            s |= 1 << ((low.bit_length() - 1) * width)
+            row ^= low
+        spread.append(s)
+    cols = []
+    for triples in coaction:
+        col = 0
+        for a, k, c in triples:
+            if c & 1:
+                col ^= spread[k] << a
+        cols.append(col)
+    return cols

@@ -719,7 +719,7 @@ def test_generate_refuses_a_non_prime_p(capsys, tmp_path):
         assert code == 2, argv
         assert out == ""
         assert "prime" in err
-        assert os.listdir(out_dir) == []
+        assert not out_dir.exists()
 
 
 def test_generate_refuses_bad_sizes_with_exit_2(capsys, tmp_path):
@@ -733,4 +733,4 @@ def test_generate_refuses_bad_sizes_with_exit_2(capsys, tmp_path):
         assert code == 2, argv
         assert out == ""
         assert err.startswith("error: ParseError: ") and err.count("\n") == 1, err
-        assert os.listdir(out_dir) == []
+        assert not out_dir.exists()

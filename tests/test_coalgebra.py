@@ -272,6 +272,27 @@ def test_wedge_matches_the_per_level_staircase_recursion(base_seed):
     assert stalled > 0
 
 
+def test_wedge_inverts_as_often_whatever_the_number_of_levels(monkeypatch):
+    """Each wedge level is read off the quotient coordinates of the level
+    before, so the inverse() calls do not grow with the number of levels."""
+    calls = []
+    inverse = FieldMatrix.inverse
+
+    def counted(m):
+        calls.append(m.nrows)
+        return inverse(m)
+
+    monkeypatch.setattr(FieldMatrix, "inverse", counted)
+    counts, tops = set(), set()
+    for c in (binomial(2, 5), binomial(2, 16), binomial(3, 12)):
+        g = GroupLikeSet(c.p, c.dim, ((1,) + (0,) * (c.dim - 1),))
+        for k_max in (None, 0, 1, 2):
+            calls.clear()
+            tops.add(coradical_filtration_wedge(c, g, k_max).top)
+            counts.add(len(calls))
+    assert len(counts) == 1 and len(tops) >= 4
+
+
 def test_coradical_closure_checks_both_tensor_factors():
     """With Delta(b) = a (x) b, Delta(span b) lies in C (x) span(b) but not in
     span(b) (x) C; with Delta(b) = b (x) a the other way round.  Either way

@@ -62,6 +62,7 @@ from oracles import (
     preimage,
     primitives_cotensor_embedding,
     staircase_preimage,
+    spread_rewrite,
     staircase_sum,
     tensor,
 )
@@ -552,6 +553,42 @@ def test_graded_views_and_star_read_the_same_sweep(corpus):
             assert graded_left_primitives(ma, k, filt) == source.preimage(k, ma.unit)
             assert levels[k].source_dim == source.preimage(k, ma.unit).dim
             assert levels[k].target_dim == target.preimage(k, w).dim
+
+
+def test_f2_rewrite_matches_the_per_triple_spread(base_seed):
+    """Over F_2 AdaptedCoaction sets one bit per term and set coordinate.
+    Its columns equal the per-triple spread rewrite on seeded triples with
+    repeated right indices and even coefficients, on psi of
+    bundle_extended(1, 3) and on Delta of gen_binomial_truncation(2, 64)."""
+    rng = random.Random(base_seed)
+    cases = []
+    for _ in range(30):
+        left_dim, right_dim, width = (rng.randint(1, 6) for _ in range(3))
+        coords = FieldMatrix(2, [[rng.randrange(2) for _ in range(width)] for _ in range(right_dim)])
+        coaction = [
+            tuple(
+                (rng.randrange(left_dim), rng.randrange(right_dim), rng.randrange(5))
+                for _ in range(rng.randint(0, 12))
+            )
+            for _ in range(rng.randint(1, 6))
+        ]
+        cases.append((coaction, left_dim, coords))
+    ma = bundle_extended(1, 3).comodule_algebra
+    filt = coradical_filtration_wedge(ma.sigma, ma.grouplikes)
+    cases.append((ma.base.psi, ma.dim, adapted_basis(filt.levels)[0]))
+    binomial = gen_binomial_truncation(2, 64)
+    filt = coradical_filtration_wedge(binomial.coalgebra, binomial.grouplikes)
+    delta = binomial.coalgebra.delta
+    cases.append((delta, len(delta), adapted_basis(filt.levels)[0]))
+    repeated = even = 0
+    for coaction, left_dim, coords in cases:
+        cols = AdaptedCoaction(coaction, left_dim, coords, (0,))._cols
+        assert cols == spread_rewrite(coaction, left_dim, coords)
+        for triples in coaction:
+            right = [k for _, k, _ in triples]
+            repeated += len(set(right)) < len(right)
+            even += any(c and c % 2 == 0 for _, _, c in triples)
+    assert repeated > 0 and even > 0
 
 
 def _functional_map(ma: ComoduleAlgebra, phi) -> FieldMatrix:

@@ -495,8 +495,6 @@ def test_transpose_vstack_entry():
     t = m.transpose()
     assert t.nrows == 2 and t.ncols == 3
     assert all(m.entry(i, j) == t.entry(j, i) for i in range(3) for j in range(2))
-    v = m.vstack(FieldMatrix(3, [[1, 1]]))
-    assert v.nrows == 4 and v.row(3) == (1, 1)
 
 
 def test_shape_errors():
