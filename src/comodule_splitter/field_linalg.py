@@ -2,28 +2,32 @@
 
 Matrices over F_2 store each row bit-packed in a Python integer (bit j of a
 row is the entry in column j), so a row operation is a single big-int XOR.
-For odd primes rows are tuples of residues and elimination uses modular
-inverses via pow(x, -1, p).  Everything is exact; there are no floats
-anywhere in this module.
+Over odd primes a row is a dict col -> nonzero residue, with no stored
+zeros, so every operation touches nonzero entries only.  Internal rows are
+never mutated once a matrix or subspace holds them.  Everything is exact;
+there are no floats anywhere in this module.
 
 Subspaces are always held in canonical reduced row echelon form: pivot
 entries are 1, pivot columns are cleared above and below, and rows are
 ordered by pivot column.  Equal subspaces therefore have identical
-representations, and subspace equality is a tuple comparison.
+representations, and subspace equality compares rows structurally.
 
 Each operation has one implementation.  ``_echelon`` is the one echelon
 core: it reduces a batch of rows forward against a table keyed by leading
 column and back-substitutes once at the end.  ``rank``, ``row_space``, the
 ``Subspace`` constructor, ``Subspace.add`` and the kernel basis of
-``kernel_from_sparse_cols`` call it.  ``solve`` eliminates augmented rows
-[a | b], which ``_join`` and ``_right`` build and split: those two helpers
-are the only place where the augmented layout depends on p.  ``inverse`` is
-``solve`` against the identity, ``image`` is a product with the transpose,
-and ``kernel_from_sparse_cols`` is the one kernel routine.
-``AdaptedCoaction.preimage`` is the one preimage of a tensor sum: it reads
-every filtration layer, the wedge levels included, off the coaction
-triples, and no tensor sum is built.  Only this module reads the internal
-row format, apart from the bitmask grouplike search in ``coalgebra``.
+``kernel_from_sparse_cols`` call it.  ``_reduce`` is the one reduction per
+field, a lookup at the pivots; it serves the back-substitution and
+``Subspace.reduce``, ``contains`` and ``contains_subspace``.  ``solve``
+eliminates augmented rows [a | b], which ``_join`` and ``_right`` build and
+split: those two helpers are the only place where the augmented layout
+depends on p.  ``inverse`` is ``solve`` against the identity, ``image`` is a
+product with the transpose, and ``kernel_from_sparse_cols`` is the one
+kernel routine.  ``AdaptedCoaction.preimage`` is the one preimage of a
+tensor sum: it reads every filtration layer, the wedge levels included, off
+the coaction triples, and no tensor sum is built.  Only this module reads
+the internal row format, apart from the bitmask grouplike search in
+``coalgebra``.
 
 Tensor index convention used by the whole package: the basis vector
 e_i (x) e_j of F^m (x) F^n sits at position i * n + j.  ``FieldMatrix.kron``
@@ -86,8 +90,27 @@ def _unpack(mask: int, n: int) -> tuple[int, ...]:
     return tuple(digits[::-1].translate(_DIGIT_BIT))
 
 
-def _tuple_mod(vec: Vector, p: int) -> tuple[int, ...]:
-    return tuple(x % p for x in vec)
+def _vector(p: int, vec: Vector, n: int):
+    """A dense vector of length n in internal form, packed over F_2 and a
+    dict of its nonzero residues otherwise; ShapeError for another length."""
+    if len(vec) != n:
+        raise ShapeError(f"vector has length {len(vec)}, expected {n}")
+    return _pack(vec) if p == 2 else {j: y for j, x in enumerate(vec) if (y := x % p)}
+
+
+def _dense(p: int, row, n: int) -> tuple[int, ...]:
+    """An internal row of width n as a tuple of residues."""
+    if p == 2:
+        return _unpack(row, n)
+    vec = [0] * n
+    for j, x in row.items():
+        vec[j] = x
+    return tuple(vec)
+
+
+def _frozen(rows: tuple) -> tuple:
+    """A hashable form of internal rows that compares as they do."""
+    return tuple(r if isinstance(r, int) else frozenset(r.items()) for r in rows)
 
 
 def _add_mod(acc: dict, key, value: int, p: int) -> None:
@@ -99,22 +122,55 @@ def _add_mod(acc: dict, key, value: int, p: int) -> None:
         acc.pop(key, None)
 
 
-def _echelon(p: int, ncols: int, rows: Iterable) -> tuple[tuple, tuple[int, ...]]:
+def _add_multiple(p: int, v: dict, f: int, row: dict) -> None:
+    """v += f * row in place over odd p, dropping entries that become zero.
+
+    A zero sum needs v[k] != 0, since f * row[k] is nonzero mod a prime."""
+    for k, y in row.items():
+        x = (v.get(k, 0) + f * y) % p
+        if x:
+            v[k] = x
+        else:
+            del v[k]
+
+
+def _reduce(p: int, w, table: dict, mask: int = 0):
+    """w minus its components along canonical rows, each zero at every other
+    pivot used, so the multiple of row_pv to take away is w's entry at pv,
+    read off once.  ``table`` maps a pivot to its row.  Over F_2 the pivots
+    used are the set bits of ``mask``: w XOR the rows at the set bits of
+    w & mask.  Over odd p they are the keys of ``table``: w - sum of
+    w[pv] * row_pv, with the dict w changed in place.
+    """
+    if p == 2:
+        t = w & mask
+        while t:
+            low = t & -t
+            w ^= table[low.bit_length() - 1]
+            t ^= low
+        return w
+    for pv in w.keys() & table.keys():
+        _add_multiple(p, w, p - w[pv], table[pv])
+    return w
+
+
+def _echelon(p: int, rows: Iterable) -> tuple[tuple, tuple[int, ...]]:
     """Canonical RREF rows and pivots of the span of internal-form rows.
 
     Two phases.  Forward: each row is reduced against a table of stored
     rows keyed by the column index of their leading entry (over F_2 the
-    lowest set bit), until its leading column is free or it vanishes.  A
-    stored row is zero left of its key, so a subtraction only touches
-    columns from the lead onward; over odd p a stored row is scaled to lead
-    1.  Back-substitution, once: taking the pivots from highest to lowest,
-    each row is cleared at the higher pivots already finished.  Those rows
-    are zero at every other finished pivot, so the coefficients to clear
-    can be read off the row before any subtraction.
+    lowest set bit), until its leading column is free or it vanishes.  Over
+    odd p a stored row is scaled to lead 1, and a subtraction touches only
+    the nonzero entries of the stored row.  Back-substitution, once: taking
+    the pivots from highest to lowest, each row is ``_reduce``d against the
+    rows at the higher pivots already finished.  Those rows are zero at
+    every other finished pivot, and the row has no entry left of its own
+    pivot, where the unfinished pivots are.
 
     The stored rows span the input and have distinct leading columns, and
     afterwards every pivot column is zero outside its own row, so the result
-    is the reduced row echelon form of the span, which is unique.
+    is the reduced row echelon form of the span, which is unique.  The input
+    rows stay unchanged.
     """
     if p == 2:
         table: dict[int, int] = {}
@@ -129,49 +185,37 @@ def _echelon(p: int, ncols: int, rows: Iterable) -> tuple[tuple, tuple[int, ...]
         pivots = sorted(table)
         done = 0
         for pv in reversed(pivots):
-            v = table[pv]
-            t = v & done
-            while t:
-                low = t & -t
-                v ^= table[low.bit_length() - 1]
-                t ^= low
-            table[pv] = v
+            table[pv] = _reduce(2, table[pv], table, done)
             done |= 1 << pv
         return tuple(table[pv] for pv in pivots), tuple(pivots)
-    # Over odd p the table holds each row from its key onward.
-    tails: dict[int, list[int]] = {}
+    table = {}
     for row in rows:
-        v = list(row)
-        lead = 0
-        while True:
-            while lead < ncols and not v[lead]:
-                lead += 1
-            if lead == ncols:
-                break
-            hit = tails.get(lead)
+        v = dict(row)
+        while v:
+            lead = min(v)
             c = v[lead]
+            hit = table.get(lead)
             if hit is None:
-                inv = pow(c, -1, p)
-                tails[lead] = [x * inv % p for x in v[lead:]] if inv != 1 else v[lead:]
+                if c != 1:
+                    inv = pow(c, -1, p)
+                    v = {k: x * inv % p for k, x in v.items()}
+                table[lead] = v
                 break
-            v[lead:] = [(x - c * y) % p for x, y in zip(v[lead:], hit)]
-    pivots = sorted(tails)
+            _add_multiple(p, v, p - c, hit)
+    pivots = sorted(table)
     for pv in reversed(pivots):
-        tail = tails[pv]
-        coeffs = [(k, c) for k, c in enumerate(tail[1:], 1) if c and pv + k in tails]
-        for k, c in coeffs:
-            tail[k:] = [(x - c * y) % p for x, y in zip(tail[k:], tails[pv + k])]
-    return tuple((0,) * pv + tuple(tails[pv]) for pv in pivots), tuple(pivots)
+        table[pv] = _reduce(p, table.pop(pv), table)
+    return tuple(table[pv] for pv in pivots), tuple(pivots)
 
 
 def _join(p: int, a, b, n: int):
     """The internal row [a | b] for a row a of width n."""
-    return a | (b << n) if p == 2 else a + b
+    return a | (b << n) if p == 2 else a | {k + n: x for k, x in b.items()}
 
 
 def _right(p: int, row, n: int):
     """The part of an internal row after its first n entries."""
-    return row >> n if p == 2 else row[n:]
+    return row >> n if p == 2 else {k - n: x for k, x in row.items() if k >= n}
 
 
 class FieldMatrix:
@@ -195,10 +239,7 @@ class FieldMatrix:
         self.p = p
         self.nrows = len(rows)
         self.ncols = ncols
-        if p == 2:
-            self._rows = tuple(_pack(r) for r in rows)
-        else:
-            self._rows = tuple(_tuple_mod(r, p) for r in rows)
+        self._rows = tuple(_vector(p, r, ncols) for r in rows)
 
     @classmethod
     def _raw(cls, p: int, nrows: int, ncols: int, rows: tuple) -> "FieldMatrix":
@@ -212,16 +253,13 @@ class FieldMatrix:
 
     @classmethod
     def zeros(cls, p: int, nrows: int, ncols: int) -> "FieldMatrix":
-        if p == 2:
-            return cls._raw(p, nrows, ncols, (0,) * nrows)
-        return cls._raw(p, nrows, ncols, ((0,) * ncols,) * nrows)
+        return cls._raw(p, nrows, ncols, tuple(0 if p == 2 else {} for _ in range(nrows)))
 
     @classmethod
     def identity(cls, p: int, n: int) -> "FieldMatrix":
         if p == 2:
             return cls._raw(p, n, n, tuple(1 << j for j in range(n)))
-        rows = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        return cls._raw(p, n, n, rows)
+        return cls._raw(p, n, n, tuple({j: 1} for j in range(n)))
 
     @classmethod
     def from_cols(cls, p: int, cols: Iterable[Vector], nrows: int | None = None) -> "FieldMatrix":
@@ -230,6 +268,8 @@ class FieldMatrix:
             if not cols:
                 raise ShapeError("nrows is required for a matrix with no columns")
             nrows = len(cols[0])
+        if any(len(c) != nrows for c in cols):
+            raise ShapeError(f"ragged columns: expected {nrows} rows in each")
         rows = [[c[i] for c in cols] for i in range(nrows)]
         return cls(p, rows, ncols=len(cols))
 
@@ -245,28 +285,27 @@ class FieldMatrix:
                     if c % 2:
                         rows[r] ^= bit
             return cls._raw(2, nrows, len(cols), tuple(rows))
-        dense = [[0] * len(cols) for _ in range(nrows)]
+        rows = [{} for _ in range(nrows)]
         for j, col in enumerate(cols):
             for r, c in col.items():
-                dense[r][j] = (dense[r][j] + c) % p
-        return cls._raw(p, nrows, len(cols), tuple(tuple(r) for r in dense))
+                if c % p:
+                    rows[r][j] = c % p
+        return cls._raw(p, nrows, len(cols), tuple(rows))
 
     # -- accessors ---------------------------------------------------------
 
     def row(self, i: int) -> tuple[int, ...]:
-        if self.p == 2:
-            return _unpack(self._rows[i], self.ncols)
-        return self._rows[i]
+        return _dense(self.p, self._rows[i], self.ncols)
 
     def col(self, j: int) -> tuple[int, ...]:
         if self.p == 2:
             return tuple((r >> j) & 1 for r in self._rows)
-        return tuple(r[j] for r in self._rows)
+        return tuple(r.get(j, 0) for r in self._rows)
 
     def entry(self, i: int, j: int) -> int:
         if self.p == 2:
             return (self._rows[i] >> j) & 1
-        return self._rows[i][j]
+        return self._rows[i].get(j, 0)
 
     def rows_as_lists(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.nrows)]
@@ -294,9 +333,8 @@ class FieldMatrix:
                     r &= r - 1
             return cols
         for i, r in enumerate(self._rows):
-            for j, x in enumerate(r):
-                if x:
-                    cols[j][i] = x
+            for j, x in r.items():
+                cols[j][i] = x
         return cols
 
     def __eq__(self, other) -> bool:
@@ -309,7 +347,7 @@ class FieldMatrix:
         )
 
     def __hash__(self) -> int:
-        return hash((self.p, self.nrows, self.ncols, self._rows))
+        return hash((self.p, self.nrows, self.ncols, _frozen(self._rows)))
 
     def __repr__(self) -> str:
         return f"FieldMatrix(p={self.p}, {self.nrows}x{self.ncols})"
@@ -326,20 +364,21 @@ class FieldMatrix:
 
     def __add__(self, other: "FieldMatrix") -> "FieldMatrix":
         self._check_same_shape(other)
-        if self.p == 2:
+        p = self.p
+        if p == 2:
             rows = tuple(a ^ b for a, b in zip(self._rows, other._rows))
         else:
-            rows = tuple(
-                tuple((x + y) % self.p for x, y in zip(a, b))
-                for a, b in zip(self._rows, other._rows)
-            )
-        return FieldMatrix._raw(self.p, self.nrows, self.ncols, rows)
+            rows = tuple(dict(a) for a in self._rows)
+            for acc, b in zip(rows, other._rows):
+                _add_multiple(p, acc, 1, b)
+        return FieldMatrix._raw(p, self.nrows, self.ncols, rows)
 
     def __neg__(self) -> "FieldMatrix":
         if self.p == 2:
             return self
-        rows = tuple(tuple((-x) % self.p for x in r) for r in self._rows)
-        return FieldMatrix._raw(self.p, self.nrows, self.ncols, rows)
+        p = self.p
+        rows = tuple({j: p - x for j, x in r.items()} for r in self._rows)
+        return FieldMatrix._raw(p, self.nrows, self.ncols, rows)
 
     def __sub__(self, other: "FieldMatrix") -> "FieldMatrix":
         return self + (-other)
@@ -349,9 +388,9 @@ class FieldMatrix:
             raise ShapeError("mixed characteristics")
         if self.ncols != other.nrows:
             raise ShapeError(f"cannot compose {self.nrows}x{self.ncols} with {other.nrows}x{other.ncols}")
+        orows = other._rows
+        rows = []
         if self.p == 2:
-            orows = other._rows
-            rows = []
             for a in self._rows:
                 acc = 0
                 t = a
@@ -362,16 +401,12 @@ class FieldMatrix:
                 rows.append(acc)
             return FieldMatrix._raw(2, self.nrows, other.ncols, tuple(rows))
         p = self.p
-        rows = []
         for a in self._rows:
-            acc = [0] * other.ncols
-            for j, x in enumerate(a):
-                if x:
-                    orow = other._rows[j]
-                    for k in range(other.ncols):
-                        if orow[k]:
-                            acc[k] = (acc[k] + x * orow[k]) % p
-            rows.append(tuple(acc))
+            acc: dict[int, int] = {}
+            for j, x in a.items():
+                for k, y in orows[j].items():
+                    acc[k] = acc.get(k, 0) + x * y
+            rows.append({k: y for k, s in acc.items() if (y := s % p)})
         return FieldMatrix._raw(p, self.nrows, other.ncols, tuple(rows))
 
     def matvec(self, v: Vector) -> tuple[int, ...]:
@@ -381,53 +416,42 @@ class FieldMatrix:
             w = _pack(v)
             return tuple((r & w).bit_count() & 1 for r in self._rows)
         p = self.p
-        return tuple(sum(x * y for x, y in zip(r, v)) % p for r in self._rows)
+        return tuple(sum(x * v[j] for j, x in r.items()) % p for r in self._rows)
 
     def transpose(self) -> "FieldMatrix":
-        if self.p == 2:
-            rows = tuple(self.packed_cols())
-        else:
-            rows = tuple(zip(*self._rows)) if self._rows else ((),) * self.ncols
-        return FieldMatrix._raw(self.p, self.ncols, self.nrows, rows)
+        rows = self.packed_cols() if self.p == 2 else self.sparse_cols()
+        return FieldMatrix._raw(self.p, self.ncols, self.nrows, tuple(rows))
 
     def kron(self, other: "FieldMatrix") -> "FieldMatrix":
         """Kronecker product; block (i, j) of the result is a_ij * other."""
         if self.p != other.p:
             raise ShapeError("mixed characteristics")
-        nc = self.ncols * other.ncols
+        nb = other.ncols
+        rows = []
         if self.p == 2:
-            rows = []
             for a in self._rows:
                 for b in other._rows:
                     acc = 0
                     t = a
                     while t:
                         s = (t & -t).bit_length() - 1
-                        acc |= b << (s * other.ncols)
+                        acc |= b << (s * nb)
                         t &= t - 1
                     rows.append(acc)
-            return FieldMatrix._raw(2, self.nrows * other.nrows, nc, tuple(rows))
-        p = self.p
-        rows = []
-        for a in self._rows:
-            for b in other._rows:
-                acc = [0] * nc
-                for s, x in enumerate(a):
-                    if x:
-                        off = s * other.ncols
-                        for j, y in enumerate(b):
-                            if y:
-                                acc[off + j] = (x * y) % p
-                rows.append(tuple(acc))
-        return FieldMatrix._raw(p, self.nrows * other.nrows, nc, tuple(rows))
+        else:
+            p = self.p
+            for a in self._rows:
+                for b in other._rows:
+                    rows.append({s * nb + j: x * y % p for s, x in a.items() for j, y in b.items()})
+        return FieldMatrix._raw(self.p, self.nrows * other.nrows, self.ncols * nb, tuple(rows))
 
     # -- elimination -------------------------------------------------------
 
     def rank(self) -> int:
-        return len(_echelon(self.p, self.ncols, self._rows)[0])
+        return len(_echelon(self.p, self._rows)[0])
 
     def row_space(self) -> "Subspace":
-        return Subspace._raw(self.p, self.ncols, *_echelon(self.p, self.ncols, self._rows))
+        return Subspace._raw(self.p, self.ncols, *_echelon(self.p, self._rows))
 
     def kernel(self) -> "Subspace":
         """Null space {v : A v = 0} as a canonical subspace of F^ncols."""
@@ -445,7 +469,7 @@ class FieldMatrix:
             raise ShapeError("solve needs matching row counts")
         p, nA, nB = self.p, self.ncols, rhs.ncols
         joined = [_join(p, a, b, nA) for a, b in zip(self._rows, rhs._rows)]
-        rows, pivots = _echelon(p, nA + nB, joined)
+        rows, pivots = _echelon(p, joined)
         if pivots and pivots[-1] >= nA:
             return None
         xrows = list(FieldMatrix.zeros(p, nA, nB)._rows)
@@ -495,48 +519,37 @@ def kernel_from_sparse_cols(p: int, ncols: int, cols: Sequence) -> "Subspace":
                 a ^= hit[1]
             else:
                 kernel.append(a)
-        return Subspace._raw(2, ncols, *_echelon(2, ncols, kernel))
-    dtable: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
+        return Subspace._raw(2, ncols, *_echelon(2, kernel))
+    # Stored columns keep their lead; the inverse of the lead scales each use.
+    dtable: dict[int, tuple[dict[int, int], dict[int, int], int]] = {}
     for j, col in enumerate(cols):
-        c = {k: v % p for k, v in col.items() if v % p}
+        c = {k: y for k, x in col.items() if (y := x % p)}
         a = {j: 1}
         while c:
             lead = min(c)
             hit = dtable.get(lead)
             if hit is None:
-                inv = pow(c[lead], -1, p)
-                dtable[lead] = (
-                    {k: v * inv % p for k, v in c.items()},
-                    {k: v * inv % p for k, v in a.items()},
-                )
+                dtable[lead] = (c, a, pow(c[lead], -1, p))
                 break
-            f = p - c[lead]
-            for k, v in hit[0].items():
-                _add_mod(c, k, f * v, p)
-            for k, v in hit[1].items():
-                _add_mod(a, k, f * v, p)
+            f = (p - c[lead]) * hit[2] % p
+            _add_multiple(p, c, f, hit[0])
+            _add_multiple(p, a, f, hit[1])
         else:
-            v = [0] * ncols
-            for k, x in a.items():
-                v[k] = x
-            kernel.append(v)
-    return Subspace._raw(p, ncols, *_echelon(p, ncols, kernel))
+            kernel.append(a)
+    return Subspace._raw(p, ncols, *_echelon(p, kernel))
 
 
 class Subspace:
     """A subspace of F_p^n held in canonical reduced row echelon form."""
 
-    __slots__ = ("p", "ambient_dim", "_rows", "_pivots")
+    __slots__ = ("p", "ambient_dim", "_rows", "_pivots", "_lookup")
 
     def __init__(self, p: int, ambient_dim: int, vectors: Iterable[Vector] = ()):
-        rows = []
-        for v in vectors:
-            if len(v) != ambient_dim:
-                raise ShapeError(f"vector has length {len(v)}, expected {ambient_dim}")
-            rows.append(_pack(v) if p == 2 else _tuple_mod(v, p))
+        rows = [_vector(p, v, ambient_dim) for v in vectors]
         self.p = p
         self.ambient_dim = ambient_dim
-        self._rows, self._pivots = _echelon(p, ambient_dim, rows)
+        self._rows, self._pivots = _echelon(p, rows)
+        self._lookup = None
 
     @classmethod
     def _raw(cls, p: int, ambient_dim: int, rows: tuple, pivots: tuple) -> "Subspace":
@@ -545,6 +558,7 @@ class Subspace:
         s.ambient_dim = ambient_dim
         s._rows = rows
         s._pivots = pivots
+        s._lookup = None
         return s
 
     @classmethod
@@ -578,8 +592,7 @@ class Subspace:
         return FieldMatrix._raw(self.p, len(self._rows), self.ambient_dim, self._rows)
 
     def basis_vectors(self) -> list[tuple[int, ...]]:
-        m = self.basis_matrix()
-        return [m.row(i) for i in range(m.nrows)]
+        return [_dense(self.p, r, self.ambient_dim) for r in self._rows]
 
     def is_full(self) -> bool:
         return len(self._rows) == self.ambient_dim
@@ -593,39 +606,27 @@ class Subspace:
         )
 
     def __hash__(self) -> int:
-        return hash((self.p, self.ambient_dim, self._rows))
+        return hash((self.p, self.ambient_dim, _frozen(self._rows)))
 
     def __repr__(self) -> str:
         return f"Subspace(p={self.p}, dim={self.dim} of {self.ambient_dim})"
 
     # -- membership and reduction ------------------------------------------
 
-    def _reduce_packed(self, w: int) -> int:
-        for idx, pv in enumerate(self._pivots):
-            if (w >> pv) & 1:
-                w ^= self._rows[idx]
-        return w
+    def _reduced(self, w):
+        """An internal row reduced by ``_reduce``; an odd-p dict is changed."""
+        if self._lookup is None:
+            mask = sum(1 << pv for pv in self._pivots) if self.p == 2 else 0
+            self._lookup = (dict(zip(self._pivots, self._rows)), mask)
+        return _reduce(self.p, w, *self._lookup)
 
     def reduce(self, v: Vector) -> tuple[int, ...]:
         """Canonical representative of v modulo this subspace."""
-        if len(v) != self.ambient_dim:
-            raise ShapeError(f"vector has length {len(v)}, expected {self.ambient_dim}")
-        if self.p == 2:
-            return _unpack(self._reduce_packed(_pack(v)), self.ambient_dim)
-        w = list(_tuple_mod(v, self.p))
-        for idx, pv in enumerate(self._pivots):
-            c = w[pv]
-            if c:
-                row = self._rows[idx]
-                for j in range(pv, self.ambient_dim):
-                    if row[j]:
-                        w[j] = (w[j] - c * row[j]) % self.p
-        return tuple(w)
+        w = self._reduced(_vector(self.p, v, self.ambient_dim))
+        return _dense(self.p, w, self.ambient_dim)
 
     def contains(self, v: Vector) -> bool:
-        if self.p == 2:
-            return self._reduce_packed(_pack(v)) == 0
-        return all(x == 0 for x in self.reduce(v))
+        return not self._reduced(_vector(self.p, v, self.ambient_dim))
 
     __contains__ = contains
 
@@ -634,9 +635,8 @@ class Subspace:
             raise ShapeError("subspaces live in different ambient spaces")
         if other.dim > self.dim:
             return False
-        if self.p == 2:
-            return all(self._reduce_packed(r) == 0 for r in other._rows)
-        return all(self.contains(r) for r in other._rows)
+        rows = other._rows if self.p == 2 else map(dict, other._rows)
+        return not any(self._reduced(r) for r in rows)
 
     # -- lattice operations --------------------------------------------------
 
@@ -644,8 +644,7 @@ class Subspace:
         """Subspace sum: the echelon form of both bases together."""
         if self.p != other.p or self.ambient_dim != other.ambient_dim:
             raise ShapeError("subspaces live in different ambient spaces")
-        p, n = self.p, self.ambient_dim
-        return Subspace._raw(p, n, *_echelon(p, n, self._rows + other._rows))
+        return Subspace._raw(self.p, self.ambient_dim, *_echelon(self.p, self._rows + other._rows))
 
     def quotient_matrix(self) -> FieldMatrix:
         """Matrix of the quotient map F^n -> F^n / self.
@@ -664,17 +663,14 @@ class Subspace:
                         acc |= 1 << pv
                 rows.append(acc)
             return FieldMatrix._raw(2, len(nps), n, tuple(rows))
+        # Off its own pivot, a canonical row is nonzero only at non-pivots.
         p = self.p
-        rows = []
-        for npc in nps:
-            acc = [0] * n
-            acc[npc] = 1
-            for i, pv in enumerate(self._pivots):
-                c = self._rows[i][npc]
-                if c:
-                    acc[pv] = (-c) % p
-            rows.append(tuple(acc))
-        return FieldMatrix._raw(p, len(nps), n, tuple(rows))
+        by_npc = {npc: {npc: 1} for npc in nps}
+        for row, pv in zip(self._rows, self._pivots):
+            for j, c in row.items():
+                if j != pv:
+                    by_npc[j][pv] = p - c
+        return FieldMatrix._raw(p, len(nps), n, tuple(by_npc[npc] for npc in nps))
 
 
 def image(m: FieldMatrix, s: Subspace) -> Subspace:
@@ -755,13 +751,13 @@ class AdaptedCoaction:
                             col ^= 1 << (key + a)
                 cols.append(col)
         else:
-            sparse = [[(j * width, x) for j, x in enumerate(row) if x] for row in coords._rows]
+            sparse = [[(j * width, x) for j, x in row.items()] for row in coords._rows]
             for triples in coaction:
-                col = {}
+                col: dict[int, int] = {}
                 for a, k, c in triples:
                     for key, x in sparse[k]:
-                        _add_mod(col, key + a, c * x, p)
-                cols.append(col)
+                        col[key + a] = col.get(key + a, 0) + c * x
+                cols.append({key: y for key, x in col.items() if (y := x % p)})
         self._cols = cols
 
     def _dim(self, k: int) -> int:
@@ -811,8 +807,9 @@ class AdaptedCoaction:
                     for key, x in c.items()
                     if shift <= key < end and key % width == lead
                 ]
+                # kernel_from_sparse_cols reduces the entries mod p.
                 for base, x in hits:
                     for a, y in scaled:
-                        _add_mod(out, base + a, -x * y, p)
+                        out[base + a] = out.get(base + a, 0) - x * y
                 cols.append(out)
         return kernel_from_sparse_cols(p, len(self._cols), cols)

@@ -3,7 +3,12 @@
 ``insert_row`` is the incremental echelon step: it keeps a full canonical
 RREF after every row, scanning every pivot and every stored row.  The
 library's batch ``field_linalg._echelon`` must give the same rows and
-pivots, because the canonical RREF of a span is unique.
+pivots, because the canonical RREF of a span is unique.  The oracles hold
+odd-p rows as dense tuples; ``internal`` and ``oracle_row`` convert to and
+from the library's sparse rows.  ``reduce_by_pivots``, ``image_by_matvec``
+and ``inverse_by_insertion`` are the dense routes for reduction, images and
+inverses, and ``is_splitting`` checks a map h against the definition of a
+splitting, entry by entry.
 
 ``intersect`` (Zassenhaus) and ``tensor`` are the subspace lattice
 operations that no pipeline step needs.  ``preimage`` and ``staircase_sum``
@@ -48,6 +53,17 @@ from comodule_splitter.field_linalg import (
 )
 
 
+def internal(p: int, row):
+    """An oracle row (packed over F_2, a dense tuple otherwise) in the
+    library's internal form, a dict of nonzero residues over odd p."""
+    return row if p == 2 else {j: x for j, x in enumerate(row) if x}
+
+
+def oracle_row(p: int, row, n: int):
+    """A library internal row of width n in the oracles' form."""
+    return row if p == 2 else tuple(row.get(j, 0) for j in range(n))
+
+
 def _first_nonzero(row) -> int | None:
     for j, x in enumerate(row):
         if x:
@@ -56,7 +72,8 @@ def _first_nonzero(row) -> int | None:
 
 
 def insert_row(p: int, ncols: int, rows: list, pivots: list[int], row) -> bool:
-    """Insert an internal-representation row into a canonical RREF list.
+    """Insert a row into a canonical RREF list; rows are packed ints over
+    F_2 and dense tuples of residues otherwise (see ``internal``).
 
     Mutates ``rows`` and ``pivots`` in place, keeping the list canonical.
     Returns True when the rank grew.
@@ -113,6 +130,68 @@ def echelon_by_insertion(p: int, ncols: int, rows: Iterable) -> tuple[tuple, tup
     return tuple(out), tuple(pivots)
 
 
+def reduce_by_pivots(p: int, rows: Sequence[Sequence[int]], pivots: Sequence[int], vec) -> tuple:
+    """vec reduced against dense canonical rows, one pivot at a time in
+    order, each subtraction over every column."""
+    w = [x % p for x in vec]
+    for row, pv in zip(rows, pivots):
+        c = w[pv]
+        if c:
+            w = [(x - c * y) % p for x, y in zip(w, row)]
+    return tuple(w)
+
+
+def image_by_matvec(p: int, rows: Sequence[Sequence[int]], vectors) -> tuple[tuple, tuple[int, ...]]:
+    """Canonical dense rows and pivots of the span of A v over the given
+    vectors v, with A given by its dense rows and A v summed entry by entry.
+    Odd p only, as ``insert_row`` takes dense rows there."""
+    images = [tuple(sum(x * y for x, y in zip(r, v)) % p for r in rows) for v in vectors]
+    return echelon_by_insertion(p, len(rows), images)
+
+
+def inverse_by_insertion(p: int, rows: Sequence[Sequence[int]]) -> list[tuple] | None:
+    """The dense inverse of a square matrix by Gauss-Jordan on [A | I], one
+    ``insert_row`` per row; None when A is singular.  Odd p only."""
+    n = len(rows)
+    joined = [tuple(r) + tuple(int(i == j) for j in range(n)) for i, r in enumerate(rows)]
+    rref, pivots = echelon_by_insertion(p, 2 * n, joined)
+    if pivots != tuple(range(n)):
+        return None
+    return [r[n:] for r in rref]
+
+
+def is_splitting(p: int, h: Sequence[Sequence[int]], psi, delta, d1: int) -> bool:
+    """True when h: M -> P_1(M) (x) Sigma, given by dense rows, is bijective
+    and (h (x) id) psi = (id (x) Delta) h.
+
+    psi[i] holds the triples (a, k, c) of psi(e_i) = sum c e_a (x) e_k, and
+    delta[y] those of Delta(e_y); s = len(delta) and dim P_1(M) = d1.  Row
+    u * s + x of h is the coordinate at e_u (x) e_x.  The rank comes from
+    ``echelon_by_insertion``, and both sides of the comodule condition are
+    summed column by column into dense arrays indexed (u, x, k).
+    """
+    m, s = len(psi), len(delta)
+    if len(h) != d1 * s or len(h) != m or any(len(r) != m for r in h):
+        return False
+    rows = [_pack(r) if p == 2 else tuple(x % p for x in r) for r in h]
+    if len(echelon_by_insertion(p, m, rows)[1]) != m:
+        return False
+    for i in range(m):
+        left = [0] * (m * s)
+        for a, k, c in psi[i]:
+            for row in range(m):
+                left[row * s + k] += c * h[row][a]
+        right = [0] * (m * s)
+        for row in range(m):
+            u, y = divmod(row, s)
+            if h[row][i]:
+                for x, k, c in delta[y]:
+                    right[(u * s + x) * s + k] += h[row][i] * c
+        if any((lv - rv) % p for lv, rv in zip(left, right)):
+            return False
+    return True
+
+
 def intersect(u: Subspace, v: Subspace) -> Subspace:
     """Zassenhaus: echelonize [a | a] and [b | 0]; rows supported on the
     right half span the intersection."""
@@ -121,9 +200,9 @@ def intersect(u: Subspace, v: Subspace) -> Subspace:
     p, n = u.p, u.ambient_dim
     zero = FieldMatrix.zeros(p, 1, n)._rows[0]
     joined = [_join(p, a, a, n) for a in u._rows] + [_join(p, b, zero, n) for b in v._rows]
-    rows, pivots = _echelon(p, 2 * n, joined)
+    rows, pivots = _echelon(p, joined)
     right = [_right(p, r, n) for t, r in zip(pivots, rows) if t >= n]
-    return Subspace._raw(p, n, *_echelon(p, n, right))
+    return Subspace._raw(p, n, *_echelon(p, right))
 
 
 def tensor(a: Subspace, b: Subspace) -> Subspace:
@@ -149,10 +228,7 @@ def preimage(m: FieldMatrix, s: Subspace) -> Subspace:
         raise ShapeError("mixed characteristics")
     if s.ambient_dim != m.nrows:
         raise ShapeError("subspace must live in the codomain of the matrix")
-    if m.p == 2:
-        cols = [s._reduce_packed(c) for c in m.packed_cols()]
-    else:
-        cols = [dict(enumerate(s.reduce(m.col(j)))) for j in range(m.ncols)]
+    cols = [dict(enumerate(s.reduce(m.col(j)))) for j in range(m.ncols)]
     return kernel_from_sparse_cols(m.p, m.ncols, cols)
 
 
@@ -235,7 +311,7 @@ class StaircaseMembership:
         p = self.p
         wrows = [[vec[i * n + j] % p for j in range(n)] for i in range(m)]
         for qa, qb in self._conds:
-            for qarow in qa._rows:
+            for qarow in qa.rows_as_lists():
                 acc = [0] * n
                 for i, x in enumerate(qarow):
                     if x:
@@ -244,7 +320,7 @@ class StaircaseMembership:
                             if wi[j]:
                                 acc[j] = (acc[j] + x * wi[j]) % p
                 if any(acc):
-                    for qbrow in qb._rows:
+                    for qbrow in qb.rows_as_lists():
                         if sum(x * y for x, y in zip(acc, qbrow)) % p:
                             return False
         return True

@@ -26,9 +26,14 @@ from comodule_splitter.generators import bundle_extended
 from oracles import (
     StaircaseMembership,
     echelon_by_insertion,
+    image_by_matvec,
     insert_row,
+    internal,
     intersect,
+    inverse_by_insertion,
+    oracle_row,
     preimage,
+    reduce_by_pivots,
     staircase_sum,
     tensor,
 )
@@ -121,7 +126,7 @@ def test_bulk_packing_matches_the_literal_loops(base_seed):
 
 
 def internal_row(rng: random.Random, p: int, n: int, density: float):
-    """A random row in internal form: a packed int over F_2, residues otherwise."""
+    """A random row in oracle form: a packed int over F_2, residues otherwise."""
     vec = [rng.randrange(1, p) if rng.random() < density else 0 for _ in range(n)]
     return _pack(vec) if p == 2 else tuple(vec)
 
@@ -153,14 +158,18 @@ def echelon_cases(rng: random.Random, p: int):
 def test_echelon_matches_the_incremental_rref(p, base_seed):
     rng = random.Random(base_seed * 13 + p)
     for ncols, rows in echelon_cases(rng, p):
-        assert _echelon(p, ncols, rows) == echelon_by_insertion(p, ncols, rows), (ncols, rows)
+        given = [internal(p, r) for r in rows]
+        want_rows, want_pivots = echelon_by_insertion(p, ncols, rows)
+        want = tuple(internal(p, r) for r in want_rows), want_pivots
+        assert _echelon(p, given) == want, (ncols, rows)
+        assert given == [internal(p, r) for r in rows]
 
 
 def test_echelon_of_the_augmented_extended_actions_matches_the_oracle():
     for a in bundle_extended(2, 8).comodule_algebra.action:
         n = a.ncols
         joined = [_join(2, r, 1 << i, n) for i, r in enumerate(a._rows)]
-        rows, pivots = _echelon(2, 2 * n, joined)
+        rows, pivots = _echelon(2, joined)
         assert (rows, pivots) == echelon_by_insertion(2, 2 * n, joined)
         assert pivots == tuple(range(n))
         assert tuple(r >> n for r in rows) == a.inverse()._rows
@@ -174,8 +183,8 @@ def kernel_oracle(p: int, ncols: int, cols) -> Subspace:
     for j, c in enumerate(cols):
         for i, x in c.items():
             dense[i][j] = (dense[i][j] + x) % p
-    internal = [_pack(r) if p == 2 else tuple(r) for r in dense]
-    rref, pivots = echelon_by_insertion(p, ncols, internal)
+    given = [_pack(r) if p == 2 else tuple(r) for r in dense]
+    rref, pivots = echelon_by_insertion(p, ncols, given)
     rref = [_unpack(r, ncols) if p == 2 else r for r in rref]
     rows: list = []
     out_pivots: list[int] = []
@@ -185,7 +194,7 @@ def kernel_oracle(p: int, ncols: int, cols) -> Subspace:
         for r, pv in zip(rref, pivots):
             vec[pv] = (-r[f]) % p
         insert_row(p, ncols, rows, out_pivots, _pack(vec) if p == 2 else tuple(vec))
-    return Subspace._raw(p, ncols, tuple(rows), tuple(out_pivots))
+    return Subspace._raw(p, ncols, tuple(internal(p, r) for r in rows), tuple(out_pivots))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -219,11 +228,11 @@ def test_subspace_add_matches_the_incremental_sum(p, base_seed):
             vecs = [[rng.randrange(p) for _ in range(n)] for _ in range(rng.randrange(n + 2))]
             spaces.append(Subspace(p, n, vecs))
         u, v = rng.sample(spaces, 2)
-        rows, pivots = list(u._rows), list(u._pivots)
+        rows, pivots = [oracle_row(p, r, n) for r in u._rows], list(u._pivots)
         for r in v._rows:
-            insert_row(p, n, rows, pivots, r)
+            insert_row(p, n, rows, pivots, oracle_row(p, r, n))
         for s in (u.add(v), v.add(u)):
-            assert (s._rows, s.pivots) == (tuple(rows), tuple(pivots))
+            assert (s._rows, s.pivots) == (tuple(internal(p, r) for r in rows), tuple(pivots))
 
 
 # -- rank / kernel / solve -------------------------------------------------------------
@@ -525,3 +534,140 @@ def test_rows_given_as_lists_tuples_or_iterables_agree(base_seed):
         for ragged in ([[1, 0], (1,)], [iter([1, 0]), iter([1])], [(1, 0), range(3)]):
             with pytest.raises(ShapeError):
                 FieldMatrix(p, ragged)
+
+
+# -- odd-p sparse rows against the dense oracles --------------------------------------
+
+SHAPES = ("unit", "sparse", "dense")
+
+
+def shaped_vectors(rng: random.Random, p: int, shape: str, n: int, count: int) -> list[tuple]:
+    """Dense vectors of one shape: unit vectors with a random scalar, about
+    2% nonzero entries, or no zero entries."""
+    if shape == "unit":
+        return [
+            tuple(rng.randrange(1, p) if j == hot else 0 for j in range(n))
+            for hot in (rng.randrange(n) for _ in range(count))
+        ]
+    density = 0.02 if shape == "sparse" else 1.0
+    return [
+        tuple(rng.randrange(1, p) if rng.random() < density else 0 for _ in range(n))
+        for _ in range(count)
+    ]
+
+
+def shaped_cases(rng: random.Random, p: int):
+    """(shape, width, two batches of vectors); sparse widths run 48 to 512."""
+    for shape in SHAPES:
+        widths = (48, 160, 512) if shape == "sparse" else (1, 7, rng.randrange(20, 40))
+        for n in widths:
+            count = rng.randrange(1, min(n, 64) + 3)
+            yield shape, n, shaped_vectors(rng, p, shape, n, count), shaped_vectors(rng, p, shape, n, count)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_sparse_rows_match_the_dense_oracles(p, base_seed):
+    rng = random.Random(base_seed * 29 + p)
+    for shape, n, vecs, more in shaped_cases(rng, p):
+        case = (shape, n)
+        want_rows, want_pivots = echelon_by_insertion(p, n, vecs)
+        u = Subspace(p, n, vecs)
+        assert _echelon(p, [internal(p, v) for v in vecs]) == (u._rows, u.pivots), case
+        assert (u.basis_vectors(), u.pivots) == (list(want_rows), want_pivots), case
+        # the kernel of the matrix whose columns are vecs
+        cols = [{i: x for i, x in enumerate(v) if x} for v in vecs]
+        assert kernel_from_sparse_cols(p, len(vecs), cols) == kernel_oracle(p, len(vecs), cols), case
+        v = Subspace(p, n, more)
+        rows, pivots = list(want_rows), list(want_pivots)
+        for r in more:
+            insert_row(p, n, rows, pivots, r)
+        assert u.add(v).basis_vectors() == rows and u.add(v).pivots == tuple(pivots), case
+        for w in more + [tuple(rng.randrange(p) for _ in range(n))]:
+            assert u.reduce(w) == reduce_by_pivots(p, want_rows, want_pivots, w), case
+            assert u.contains(w) == (not any(reduce_by_pivots(p, want_rows, want_pivots, w))), case
+        assert u.contains_subspace(v) == (len(pivots) == len(want_pivots)), case
+        assert u.add(v).contains_subspace(v) and u.contains_subspace(Subspace(p, n, vecs[::2])), case
+        # the image of v under the matrix with rows vecs
+        want = image_by_matvec(p, vecs, more)[0]
+        assert image(FieldMatrix(p, vecs), v) == Subspace(p, len(vecs), want), case
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_inverse_of_shaped_matrices_matches_gauss_jordan(p, base_seed):
+    rng = random.Random(base_seed * 31 + p)
+    for shape in SHAPES:
+        for n in ((48, 128) if shape == "sparse" else (1, 6, 24)):
+            # a monomial matrix, or a unipotent lower times upper factor,
+            # each row permuted; then the same with one row repeated.
+            if shape == "unit":
+                order = list(range(n))
+                rng.shuffle(order)
+                square = [tuple(rng.randrange(1, p) if j == order[i] else 0 for j in range(n)) for i in range(n)]
+            else:
+                fill = shaped_vectors(rng, p, shape, n, 2 * n)
+                lower = FieldMatrix(p, [[fill[i][j] if j < i else int(i == j) for j in range(n)] for i in range(n)])
+                upper = FieldMatrix(p, [[fill[n + i][j] if j > i else int(i == j) for j in range(n)] for i in range(n)])
+                square = (lower @ upper).rows_as_lists()
+                rng.shuffle(square)
+            for rows in (square, square[:-1] + square[:1]):
+                want = inverse_by_insertion(p, rows)
+                m = FieldMatrix(p, rows)
+                if want is None:
+                    assert n > 1 and rows is not square
+                    with pytest.raises(ShapeError):
+                        m.inverse()
+                else:
+                    assert m.inverse().rows_as_lists() == [list(r) for r in want], (shape, n)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_odd_p_rows_are_canonical_with_no_stored_zeros(p, base_seed):
+    rng = random.Random(base_seed * 37 + p)
+    for shape, n, vecs, _ in shaped_cases(rng, p):
+        u = Subspace(p, n, vecs)
+        for row, pv in zip(u._rows, u.pivots):
+            assert row[pv] == 1 and min(row) == pv, (shape, n)
+            assert all(0 <= j < n and 0 < x < p for j, x in row.items()), (shape, n)
+            assert not any(row.get(q) for q in u.pivots if q != pv), (shape, n)
+        m = FieldMatrix(p, vecs)
+        assert all(0 not in r.values() for r in m._rows + m.transpose()._rows + (m @ m.transpose())._rows)
+        # another spanning set of the same span: negated vectors and sums
+        # a + c * b of two of them, shuffled
+        mixed = [tuple(p - x if x else 0 for x in v) for v in vecs]
+        for _ in range(len(vecs) + 2):
+            a, b, c = rng.choice(vecs), rng.choice(vecs), rng.randrange(p)
+            mixed.append(tuple((x + c * y) % p for x, y in zip(a, b)))
+        rng.shuffle(mixed)
+        w = Subspace(p, n, mixed)
+        assert w._rows == u._rows and hash(w) == hash(u), (shape, n)
+        assert hash(w.basis_matrix()) == hash(u.basis_matrix()), (shape, n)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_contains_and_reduce_refuse_vectors_of_the_wrong_length(p):
+    s = Subspace(p, 3, [(1, 1, 0)])
+    for vec in ((1, 1), (1, 1, 0, 0)):
+        with pytest.raises(ShapeError):
+            s.contains(vec)
+        with pytest.raises(ShapeError):
+            vec in s
+        with pytest.raises(ShapeError):
+            s.reduce(vec)
+    assert s.contains((1, 1, 0)) and not s.contains((0, 1, 0))
+
+
+def test_from_cols_refuses_a_column_longer_than_nrows():
+    for p in (2, 3):
+        with pytest.raises(ShapeError):
+            FieldMatrix.from_cols(p, [(1, 2, 1)], nrows=2)
+        with pytest.raises(ShapeError):
+            FieldMatrix.from_cols(p, [(1, 2), (1, 2, 1)])
+        assert FieldMatrix.from_cols(p, [(1, 2)], nrows=2).rows_as_lists() == [[1], [2 % p]]
+
+
+def test_from_cols_refuses_a_column_shorter_than_nrows():
+    for p in (2, 3):
+        with pytest.raises(ShapeError):
+            FieldMatrix.from_cols(p, [(1,)], nrows=2)
+        with pytest.raises(ShapeError):
+            FieldMatrix.from_cols(p, [(1, 2), (1,)])

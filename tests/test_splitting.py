@@ -40,7 +40,7 @@ from comodule_splitter.generators import (
     shipped_corpus,
 )
 from comodule_splitter.splitting import _phi_inverse, retraction_onto
-from oracles import insert_row
+from oracles import insert_row, oracle_row
 
 EXPECTED_RANKS = {
     "binomial_2_4_id": 4,
@@ -237,12 +237,12 @@ def _greedy_retraction(s):
     e_0, e_1, ... whenever the rank grows, invert the n x n basis matrix,
     and keep the rows indexing s."""
     p, n, d = s.p, s.ambient_dim, s.dim
-    rows, pivots = list(s._rows), list(s._pivots)
+    rows, pivots = [oracle_row(p, r, n) for r in s._rows], list(s._pivots)
     basis = list(s._rows)
     for e_i in FieldMatrix.identity(p, n)._rows:
         if len(rows) == n:
             break
-        if insert_row(p, n, rows, pivots, e_i):
+        if insert_row(p, n, rows, pivots, oracle_row(p, e_i, n)):
             basis.append(e_i)
     q_inv = FieldMatrix._raw(p, n, n, tuple(basis)).transpose().inverse()
     return FieldMatrix._raw(p, d, n, q_inv._rows[:d])
