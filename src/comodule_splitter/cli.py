@@ -45,8 +45,8 @@ from .comodule import (
     validate_comodule_algebra,
 )
 from .definitions import (
-    _load_json,
     _one_load_per_file,
+    _peek_json,
     load_bundle,
     load_certificate,
     load_coalgebra,
@@ -87,7 +87,7 @@ def _fail(exc: Exception, code: int) -> int:
 
 
 def _detect_kind(path: str) -> str:
-    doc = _load_json(path)
+    doc = _peek_json(path)
     for key, kind in (("delta", "coalgebra"), ("psi", "comodule"), ("matrix", "map")):
         if key in doc:
             return kind

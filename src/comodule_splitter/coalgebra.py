@@ -56,10 +56,8 @@ CAP_ENV_VAR = "COMODULE_SPLITTER_CAP"
 Triples = tuple[tuple[int, int, int], ...]
 
 
-def effective_cap(cap: int | None = None) -> int:
-    """Resolve the tensor-power cell cap: explicit arg, env var, default."""
-    if cap is not None:
-        return cap
+def effective_cap() -> int:
+    """The tensor-power cell cap: the env var when set, else the default."""
     env = os.environ.get(CAP_ENV_VAR)
     if env is not None:
         try:
@@ -176,9 +174,6 @@ class Coalgebra:
         n = self.dim
         cols = [{j * n + k: c for j, k, c in t} for t in self.delta]
         return FieldMatrix.from_sparse_cols(self.p, n * n, cols)
-
-    def delta_sparse(self) -> list[dict[tuple[int, int], int]]:
-        return [{(j, k): c for j, k, c in t} for t in self.delta]
 
     def core_equal(self, other: "Coalgebra") -> bool:
         """Same underlying coalgebra: p, dimension, comultiplication, counit.
@@ -397,7 +392,6 @@ def coradical_filtration_direct(
     c: Coalgebra,
     g: GroupLikeSet,
     k_max: int,
-    cap: int | None = None,
 ) -> Filtration:
     """Socle filtration from the definition: F_k is the kernel of the
     iterated comultiplication followed by the (k+1)-fold tensor power of the
@@ -408,7 +402,7 @@ def coradical_filtration_direct(
     size of the map being represented, so behaviour does not depend on the
     internal strategy.
     """
-    cap_cells = effective_cap(cap)
+    cap_cells = effective_cap()
     r = _coradical_span(c, g)
     p, n = c.p, c.dim
     q = r.quotient_matrix()
@@ -418,16 +412,11 @@ def coradical_filtration_direct(
     if stabilized:
         return Filtration.build(p, n, levels, True)
 
-    qcols: list[dict[int, int]] = []
-    for j in range(n):
-        col = q.col(j)
-        qcols.append({t: col[t] for t in range(nq) if col[t]})
-
-    sparse = c.delta_sparse()
+    qcols = q.sparse_cols()
     u1cols: list[dict[int, int]] = []
-    for i in range(n):
+    for triples in c.delta:
         col: dict[int, int] = {}
-        for (j, k), cf in sparse[i].items():
+        for j, k, cf in triples:
             for t, qv in qcols[k].items():
                 _add_mod(col, j * nq + t, cf * qv, p)
         u1cols.append(col)
@@ -536,12 +525,12 @@ def f1_decomposition(c: Coalgebra, g: GroupLikeSet) -> F1DecompositionReport:
 # -- constructions used by the generators ---------------------------------------
 
 
-def tensor_product(c1: Coalgebra, c2: Coalgebra, sep: str = "*") -> Coalgebra:
+def tensor_product(c1: Coalgebra, c2: Coalgebra) -> Coalgebra:
     """Tensor product coalgebra on the basis e_i (x) f_j, index i*dim2 + j."""
     if c1.p != c2.p:
         raise ShapeError("mixed characteristics")
     n1, n2 = c1.dim, c2.dim
-    labels = tuple(f"{a}{sep}{b}" for a in c1.labels for b in c2.labels)
+    labels = tuple(f"{a}*{b}" for a in c1.labels for b in c2.labels)
     delta = []
     for i1 in range(n1):
         for i2 in range(n2):

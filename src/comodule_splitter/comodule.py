@@ -130,9 +130,6 @@ class Comodule:
             out.append(col)
         return out
 
-    def psi_sparse(self) -> list[dict[tuple[int, int], int]]:
-        return [{(a, k): c for a, k, c in t} for t in self.psi]
-
     @classmethod
     def regular(cls, sigma: Coalgebra) -> "Comodule":
         """The over-coalgebra as a right comodule over itself, psi = Delta."""
@@ -479,18 +476,18 @@ def validate_comodule_algebra(ma: ComoduleAlgebra) -> ValidationReport:
         checks.append(CheckResult("action_is_left_multiplication", witness is None, witness))
 
         if ma.sigma.product is not None:
-            sparse = ma.base.psi_sparse()
+            psi = ma.base.psi
             sprod = ma.sigma.product
             witness = None
             for i in range(m):
                 for j in range(m):
                     lhs: dict[tuple[int, int], int] = {}
                     for k, coeff in ma.product[i][j]:
-                        for (a, t), cf in sparse[k].items():
+                        for a, t, cf in psi[k]:
                             _add_mod(lhs, (a, t), coeff * cf, p)
                     rhs: dict[tuple[int, int], int] = {}
-                    for (a, t), cf in sparse[i].items():
-                        for (b, u), cf2 in sparse[j].items():
+                    for a, t, cf in psi[i]:
+                        for b, u, cf2 in psi[j]:
                             for mm, cm in ma.product[a][b]:
                                 for ss, cs in sprod[t][u]:
                                     _add_mod(rhs, (mm, ss), cf * cf2 * cm * cs, p)
@@ -588,15 +585,13 @@ def cotensor(m: Comodule, n: LeftComodule) -> Subspace:
     p = m.p
     s = m.over.dim
     nn = n.dim
-    left_sparse = m.psi_sparse()
-    right_sparse = [{(k, b): c for k, b, c in t} for t in n.psi]
     cols: list[dict[int, int]] = []
     for i in range(m.dim):
         for j in range(nn):
             col: dict[int, int] = {}
-            for (a, k), cf in left_sparse[i].items():
+            for a, k, cf in m.psi[i]:
                 _add_mod(col, (a * s + k) * nn + j, cf, p)
-            for (k, b), cf in right_sparse[j].items():
+            for k, b, cf in n.psi[j]:
                 _add_mod(col, (i * s + k) * nn + b, -cf, p)
             cols.append(col)
     return kernel_from_sparse_cols(p, m.dim * nn, cols)

@@ -26,7 +26,9 @@ Each file is read once per command.  While the CLI runs one command,
 load_coalgebra and load_comodule return the object read the first time for
 a path they have already loaded: a map whose source is the command's
 comodule file gets that very comodule, and Sigma is parsed once however
-many documents name it.  The memo ends with the command, so the next one
+many documents name it.  The CLI's check of a file's kind hands its
+decoded document to the loader that follows, so that check costs no second
+read.  The memo ends with the command, so the next one
 reads the files afresh; called outside the CLI, the loaders read the file
 on every call.
 """
@@ -49,6 +51,12 @@ from .splitting import SplittingCertificate
 
 
 def _load_json(path: str) -> dict:
+    """The JSON object in the file at path.  Inside _one_load_per_file, a
+    document that _peek_json decoded is handed over once instead of read
+    again, so no decoded document outlives the loader that consumed it."""
+    memo = _loaded.get()
+    if memo is not None and (doc := memo.pop(("peeked", os.path.abspath(path)), None)) is not None:
+        return doc
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -61,8 +69,20 @@ def _load_json(path: str) -> dict:
     return doc
 
 
+def _peek_json(path: str) -> dict:
+    """_load_json, leaving the document for the next _load_json of the same
+    file in this command: the CLI's check of a file's kind and the loader
+    that follows share one read."""
+    doc = _load_json(path)
+    memo = _loaded.get()
+    if memo is not None:
+        memo[("peeked", os.path.abspath(path))] = doc
+    return doc
+
+
 # Definitions loaded by the running command, keyed by loader and absolute
-# path; None outside _one_load_per_file, where nothing is memoized.
+# path, and documents peeked at but not yet loaded, keyed by "peeked" and
+# absolute path; None outside _one_load_per_file, where nothing is memoized.
 _loaded: ContextVar[dict | None] = ContextVar("loaded_definitions", default=None)
 
 

@@ -8,10 +8,24 @@ The pipeline mirrors the constructive proof it implements:
 with phi: k[G] (x) P_1(M) -> P(M), g (x) v -> g.v, and r a linear retraction
 of M onto P(M).  A run computes each layer once, in order: the star report,
 the unit grouplike w and P_1(M) = P_w(M), one inversion per action, P(M) as
-the sum of the P_g(M), the phi solve on that P(M), the retraction onto the
-same P(M), and finally h = (t (x) id) psi with t = (eps (x) id) phi^{-1} r.
-build_h runs all of them; recheck_certificate runs the layers up to P_1(M)
-and takes h from the certificate.
+the sum of the P_g(M), the check that the columns of phi span P(M), and
+finally h = (t (x) id) psi with t = (eps (x) id) phi^{-1} r.  build_h runs
+all of them; recheck_certificate runs the layers up to P_1(M) and takes h
+from the certificate.
+
+The retraction is pinned down deterministically (extend the echelon basis B
+of P(M) by standard basis vectors, lowest index first), so rebuilding from
+the same definition files yields bit-identical certificates.  The extension
+skips exactly the set D of trailing pivots of P(M), so r = (S_D B^T)^-1 S_D,
+with S_D the d x n matrix that keeps the coordinates D, d = dim P(M).  Once
+the columns of phi span P(M), phi X = B^T for an invertible d x d matrix X,
+and
+
+    phi^{-1} r = X (S_D phi X)^-1 S_D = (S_D phi)^-1 S_D.
+
+So t = (eps (x) id) (S_D phi)^-1 S_D costs one inverse of a d x d matrix,
+and phi is never solved against P(M).  The result is exactly the composite
+above: the identity holds over F_p, not up to a choice.
 
 Instead of replaying the filtration induction that proves h bijective, the
 engine certifies the outcome directly: the rank of h must equal
@@ -19,14 +33,6 @@ dim M = dim P_1(M) * dim Sigma, and h must be a comodule map into the
 cofree comodule P_1(M) (x) Sigma, that is, the residual
 (id (x) Delta) h - (h (x) id) psi must vanish.  A nonzero residual is
 reported by the basis label of the first column of M where it shows.
-
-The retraction is pinned down deterministically (extend the echelon basis of
-P(M) by standard basis vectors, lowest index first), so rebuilding from the
-same definition files yields bit-identical certificates.  It is computed in
-the equal trailing-pivot form: the extension skips exactly the set D of
-trailing pivots of P(M), so the retraction is (S_D^T)^-1 on the D columns
-and zero elsewhere, with S_D the d x d block of the echelon basis on D.
-That inverts a d x d block, d = dim P(M), not an n x n matrix.
 """
 
 from __future__ import annotations
@@ -59,57 +65,23 @@ from .reporting import (
 )
 
 
-def retraction_onto(s: Subspace) -> FieldMatrix:
-    """The deterministic retraction onto s, as a dim s x ambient matrix into
-    echelon coordinates of s.
-
-    By definition: extend the echelon basis of s by standard basis vectors
-    (lowest index first) to a basis of the ambient space, invert, and keep
-    the rows indexing s.  The extension skips e_i exactly when some vector
-    of s has its last nonzero entry at i, so the skipped indices are the
-    trailing pivots D of s, the pivots of its echelon form with the columns
-    reversed.  The kept rows vanish off D, and on D they are (S_D^T)^-1,
-    where S_D is the d x d block of the echelon basis on the columns D.
-    """
+def _trailing_pivots(s: Subspace) -> FieldMatrix:
+    """S_D, the dim s x ambient 0/1 matrix that keeps the coordinates D of
+    the trailing pivots of s: the pivots of its echelon form with the
+    columns reversed, the indices i at which some vector of s has its last
+    nonzero entry."""
     p, n, d = s.p, s.ambient_dim, s.dim
     flipped = Subspace(p, n, [v[::-1] for v in s.basis_vectors()])
     row_of = {n - 1 - pv: t for t, pv in enumerate(flipped.pivots)}
-    select = FieldMatrix.from_sparse_cols(
+    return FieldMatrix.from_sparse_cols(
         p, d, [{row_of[j]: 1} if j in row_of else {} for j in range(n)]
     )
-    return (select @ s.basis_matrix().transpose()).inverse() @ select
 
 
 def _p1(ma: ComoduleAlgebra) -> Subspace:
     """P_1(M) = P_w(M) for the unit grouplike w; the star check has already
     refused a unit that is not coinvariant."""
     return comodule_primitives_at(ma.base, ma.grouplikes.vectors[ma.unit_grouplike_index()])
-
-
-def _phi_inverse(ma: ComoduleAlgebra, p1: Subspace, total: Subspace) -> FieldMatrix:
-    """The inverse of phi on P(M) = total, as a matrix from echelon
-    coordinates of P(M) to k[G] (x) P_1(M) coordinates, grouplike-major over
-    the echelon basis of P_1(M).
-
-    Solving phi . x = v for each echelon basis vector v of P(M) is the same
-    computation as splitting v into its g-primitive components and applying
-    the inverse action grouplike by grouplike, because the phi columns are
-    exactly the bases A_g(P_1) of those components.
-    """
-    basis = p1.basis_vectors()
-    ph = FieldMatrix.from_cols(ma.p, [a.matvec(b) for a in ma.action for b in basis], nrows=ma.dim)
-    expected = len(ma.grouplikes) * p1.dim
-    rank = ph.rank()
-    if rank != expected or total.dim != expected:
-        raise DecompositionFails(
-            f"k[G] (x) P_1 has dim {expected} but phi has rank {rank}"
-            f" onto P(M) of dim {total.dim}"
-        )
-    inclusion = FieldMatrix.from_cols(ma.p, list(total.basis_vectors()), nrows=ma.dim)
-    solved = ph.solve(inclusion)
-    if solved is None:
-        raise DecompositionFails("P(M) is not contained in the image of phi")
-    return solved
 
 
 @dataclass(frozen=True)
@@ -146,8 +118,8 @@ class SplittingCertificate:
 
 def _assemble_h(ma: ComoduleAlgebra, p1: Subspace) -> FieldMatrix:
     """The layers after P_1(M), each once: invert every action, sum the
-    P_g(M) into P(M), solve phi on that P(M), retract onto the same P(M),
-    and apply (t (x) id) psi."""
+    P_g(M) into P(M), check that the columns of phi span P(M), and apply
+    (t (x) id) psi with t = (eps (x) id) (S_D phi)^-1 S_D."""
     p = ma.p
     d1 = p1.dim
     if d1 == 0:
@@ -157,15 +129,22 @@ def _assemble_h(ma: ComoduleAlgebra, p1: Subspace) -> FieldMatrix:
             a.inverse()
         except ShapeError:
             raise ActionNotInvertible(f"action of grouplike {idx} is singular") from None
-    n_g = len(ma.grouplikes)
     total, _ = comodule_primitives_total(ma.base, ma.grouplikes)
-    ph_inv = _phi_inverse(ma, p1, total)
-    # eps (x) id collapses the group coordinate: every grouplike has counit 1.
-    eps_collapse = FieldMatrix(
-        p,
-        [[1 if c % d1 == r else 0 for c in range(n_g * d1)] for r in range(d1)],
-    )
-    t = eps_collapse @ ph_inv @ retraction_onto(total)
+    basis = p1.basis_vectors()
+    ph = FieldMatrix.from_cols(p, [a.matvec(b) for a in ma.action for b in basis], nrows=ma.dim)
+    expected = len(ma.grouplikes) * d1
+    span = ph.transpose().row_space()
+    if span.dim != expected or total.dim != expected:
+        raise DecompositionFails(
+            f"k[G] (x) P_1 has dim {expected} but phi has rank {span.dim}"
+            f" onto P(M) of dim {total.dim}"
+        )
+    if span != total:
+        raise DecompositionFails("P(M) is not contained in the image of phi")
+    select = _trailing_pivots(total)
+    # eps (x) id sums the grouplike blocks of d1 coordinates: every grouplike has counit 1.
+    eps = FieldMatrix.from_sparse_cols(p, d1, [{c % d1: 1} for c in range(expected)])
+    t = eps @ (select @ ph).inverse() @ select
     return FieldMatrix.from_sparse_cols(p, d1 * ma.sigma.dim, ma.base.coaction_along(t))
 
 
@@ -256,25 +235,32 @@ def recheck_certificate(
         )
     )
 
+    # A rank or residual taken over another field than the inputs' says
+    # nothing about them, so a certificate over the wrong field fails its
+    # shape and bijectivity checks, and the residual is skipped.
+    fields = None
+    if cert.h_matrix.p != ma.p:
+        fields = f"certificate over F_{cert.h_matrix.p}, inputs over F_{ma.p}"
     p1 = _p1(ma)
-    checks.append(
-        CheckResult(
-            "p1_basis_matches",
-            p1 == cert.p1_basis,
-            None if p1 == cert.p1_basis else f"recomputed dim {p1.dim}, stored dim {cert.p1_basis.dim}",
-        )
-    )
+    p1_witness = None
+    if p1 != cert.p1_basis:
+        p1_witness = f"recomputed dim {p1.dim}, stored dim {cert.p1_basis.dim}"
+        if fields:
+            p1_witness += f"; {fields}"
+    checks.append(CheckResult("p1_basis_matches", p1_witness is None, p1_witness))
 
-    shape_ok = (
+    shape_ok = fields is None and (
         cert.h_matrix.nrows == p1.dim * ma.sigma.dim and cert.h_matrix.ncols == ma.dim
     )
-    checks.append(CheckResult("h_shape", shape_ok))
+    checks.append(CheckResult("h_shape", shape_ok, fields))
 
     rank = cert.h_matrix.rank()
-    rank_ok = rank == ma.dim and rank == cert.h_matrix.nrows
+    rank_ok = fields is None and rank == ma.dim and rank == cert.h_matrix.nrows
     checks.append(
         CheckResult(
-            "h_bijective", rank_ok, None if rank_ok else _bijectivity_witness(ma, cert.h_matrix, rank)
+            "h_bijective",
+            rank_ok,
+            fields or (None if rank_ok else _bijectivity_witness(ma, cert.h_matrix, rank)),
         )
     )
     checks.append(CheckResult("stored_rank_matches", rank == cert.rank))

@@ -21,6 +21,11 @@ replaced.  It is held to the literal route in turn.  ``spread_rewrite`` is
 the F_2 rewrite ``AdaptedCoaction`` used to do, one wide spread row shifted
 per triple.
 
+``greedy_retraction`` is the retraction onto a subspace by its definition,
+and ``h_by_phi_solve`` assembles h the way the library used to: phi solved
+against the echelon basis of P(M), composed with that retraction and a
+dense eps (x) id.
+
 ``primitives_cotensor_embedding`` and ``check_map_preserves_filtration``
 state two structural lemmas on comodules, P(M) = M box R and
 f(F_k(M)) <= F_k(N), in the form the lemma tests check them.
@@ -34,9 +39,11 @@ from typing import Iterable, Sequence
 from comodule_splitter.coalgebra import Filtration, GroupLikeSet
 from comodule_splitter.comodule import (
     Comodule,
+    ComoduleAlgebra,
     ComoduleMap,
     comodule_filtration,
     comodule_primitives_at,
+    comodule_primitives_total,
 )
 from comodule_splitter.errors import ShapeError
 from comodule_splitter.field_linalg import (
@@ -190,6 +197,41 @@ def is_splitting(p: int, h: Sequence[Sequence[int]], psi, delta, d1: int) -> boo
         if any((lv - rv) % p for lv, rv in zip(left, right)):
             return False
     return True
+
+
+def greedy_retraction(s: Subspace) -> FieldMatrix:
+    """The retraction onto s by its definition: extend the echelon basis of
+    s by e_0, e_1, ... whenever the rank grows, invert the n x n basis
+    matrix, and keep the rows indexing s."""
+    p, n, d = s.p, s.ambient_dim, s.dim
+    rows, pivots = [oracle_row(p, r, n) for r in s._rows], list(s._pivots)
+    basis = list(s._rows)
+    for e_i in FieldMatrix.identity(p, n)._rows:
+        if len(rows) == n:
+            break
+        if insert_row(p, n, rows, pivots, oracle_row(p, e_i, n)):
+            basis.append(e_i)
+    q_inv = FieldMatrix._raw(p, n, n, tuple(basis)).transpose().inverse()
+    return FieldMatrix._raw(p, d, n, q_inv._rows[:d])
+
+
+def h_by_phi_solve(ma: ComoduleAlgebra) -> FieldMatrix:
+    """h = (t (x) id) psi with t = (eps (x) id) phi^{-1} r, each factor built
+    on its own: phi^{-1} on P(M) solves phi X = B^T for the echelon basis B
+    of P(M), r is ``greedy_retraction`` onto P(M), and eps (x) id is a dense
+    matrix of ones at the grouplike-major positions of P_1(M)."""
+    p = ma.p
+    p1 = comodule_primitives_at(ma.base, ma.grouplikes.vectors[ma.unit_grouplike_index()])
+    total, _ = comodule_primitives_total(ma.base, ma.grouplikes)
+    cols = [a.matvec(b) for a in ma.action for b in p1.basis_vectors()]
+    ph = FieldMatrix.from_cols(p, cols, nrows=ma.dim)
+    ph_inv = ph.solve(FieldMatrix.from_cols(p, total.basis_vectors(), nrows=ma.dim))
+    if ph_inv is None:
+        raise ValueError("P(M) is not contained in the image of phi")
+    d1, width = p1.dim, len(cols)
+    eps = FieldMatrix(p, [[int(c % d1 == r) for c in range(width)] for r in range(d1)], ncols=width)
+    t = eps @ ph_inv @ greedy_retraction(total)
+    return FieldMatrix.from_sparse_cols(p, d1 * ma.sigma.dim, ma.base.coaction_along(t))
 
 
 def intersect(u: Subspace, v: Subspace) -> Subspace:

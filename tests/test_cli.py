@@ -18,6 +18,8 @@ from collections import Counter
 
 from comodule_splitter import definitions
 from comodule_splitter.cli import main
+from comodule_splitter.definitions import write_bundle
+from comodule_splitter.generators import gen_binomial_truncation
 
 
 def _run(capsys, *argv):
@@ -404,6 +406,33 @@ def test_certify_rejects_a_tampered_certificate(capsys, corpus_dir, tmp_path):
     assert json.loads(out)["ok"] is False
 
 
+def test_certify_refuses_a_certificate_over_another_field(capsys, tmp_path):
+    """A certificate whose p is not the inputs' p fails h_shape and
+    h_bijective with a witness naming both fields, and the residual, taken
+    over neither field alone, is skipped as for any bad shape."""
+    write_bundle(gen_binomial_truncation(3, 4), str(tmp_path))
+    files = _bundle_files(tmp_path, "binomial_3_4_id")
+    cert = tmp_path / "cert.json"
+    assert _run(capsys, "split", files["comodule"], files["map"], "--out", str(cert))[0] == 0
+    honest = json.loads(cert.read_text())
+    for q in (2, 5):
+        other = tmp_path / f"cert_p{q}.json"
+        other.write_text(json.dumps(dict(honest, p=q)))
+        code, out, err = _run(capsys, "certify", str(other), files["comodule"], files["map"])
+        assert (code, err) == (1, "")
+        fields = f"certificate over F_{q}, inputs over F_3"
+        checks = {c["name"]: (c["passed"], c.get("witness")) for c in json.loads(out)["checks"]}
+        assert checks == {
+            "hypothesis_star_surjective": (True, None),
+            "p1_basis_matches": (False, f"recomputed dim 1, stored dim 1; {fields}"),
+            "h_shape": (False, fields),
+            "h_bijective": (False, fields),
+            "stored_rank_matches": (True, None),
+            "comodule_residual_zero": (False, None),
+            "stored_residual_flag_matches": (False, None),
+        }, q
+
+
 def test_certify_refuses_mistyped_certificates_with_exit_2(capsys, corpus_dir, tmp_path):
     """Certificates go through the typed loaders: a float or bool entry in h
     and a missing key are parse errors, not accepted values or tracebacks."""
@@ -560,22 +589,24 @@ def test_corpus_runs_every_bundle(capsys, corpus_dir):
 
 
 def _count_reads(monkeypatch) -> Counter:
-    """Count the JSON files the loaders read, by absolute path."""
+    """Count the JSON documents decoded from files, by absolute path.  Every
+    decode goes through json.load, whoever imported the reading helper."""
     reads: Counter = Counter()
-    real = definitions._load_json
+    real = json.load
 
-    def counting(path):
-        reads[os.path.abspath(path)] += 1
-        return real(path)
+    def counting(fh, *args, **kwargs):
+        reads[os.path.abspath(fh.name)] += 1
+        return real(fh, *args, **kwargs)
 
-    monkeypatch.setattr(definitions, "_load_json", counting)
+    monkeypatch.setattr(json, "load", counting)
     return reads
 
 
 def test_each_command_reads_each_file_once(capsys, corpus_dir, tmp_path, monkeypatch):
     reads = _count_reads(monkeypatch)
     files = _bundle_files(corpus_dir, "extended_a3_level0")
-    inputs = {os.path.abspath(files[k]) for k in ("sigma", "comodule", "target", "map")}
+    paths = {k: os.path.abspath(v) for k, v in files.items()}
+    inputs = {paths[k] for k in ("sigma", "comodule", "target", "map")}
     cert = str(tmp_path / "cert.json")
     for _ in range(2):  # the second round reads everything again
         assert _run(capsys, "split", files["comodule"], files["map"], "--out", cert)[0] == 0
@@ -586,6 +617,22 @@ def test_each_command_reads_each_file_once(capsys, corpus_dir, tmp_path, monkeyp
         reads.clear()
     assert _run(capsys, "corpus", "--dir", str(corpus_dir))[0] == 0
     assert len(reads) == 9 * 5 and set(reads.values()) == {1}
+    # The commands that first check what kind of file they were given.
+    needs = {
+        "sigma": {paths["sigma"]},
+        "comodule": {paths["comodule"], paths["sigma"]},
+        "map": inputs,
+    }
+    for command in ("validate", "filtration", "primitives"):
+        for kind, read in needs.items():
+            reads.clear()
+            code = _run(capsys, command, files[kind])[0]
+            if command == "validate" or kind != "map":
+                assert code == 0, (command, kind)
+                assert reads == dict.fromkeys(read, 1), (command, kind)
+            else:  # filtration and primitives refuse a map after one read
+                assert code == 2, (command, kind)
+                assert reads == {paths["map"]: 1}, (command, kind)
 
 
 def test_loads_do_not_outlive_the_command(capsys, corpus_dir, tmp_path):

@@ -1,5 +1,5 @@
-"""Tests for the splitting pipeline: retraction, the inverse of phi, h
-assembly, certificates, re-checking, and the corpus driver.
+"""Tests for the splitting pipeline: retraction, h assembly against the
+phi-solve route, certificates, re-checking, and the corpus driver.
 
 The residual oracle here recomputes "h is a comodule map" from the raw
 structure constants with plain dictionaries, independently of the matrix
@@ -24,7 +24,6 @@ from comodule_splitter import (
     HypothesisNotMet,
     Subspace,
     build_h,
-    comodule_primitives_at,
     comodule_primitives_total,
     recheck_certificate,
     validate_comodule_algebra,
@@ -39,8 +38,8 @@ from comodule_splitter.generators import (
     gen_random_pointed,
     shipped_corpus,
 )
-from comodule_splitter.splitting import _phi_inverse, retraction_onto
-from oracles import insert_row, oracle_row
+from comodule_splitter.splitting import _trailing_pivots
+from oracles import greedy_retraction, h_by_phi_solve
 
 EXPECTED_RANKS = {
     "binomial_2_4_id": 4,
@@ -207,6 +206,13 @@ def _padded_by_trivial_line():
 # -- retraction ----------------------------------------------------------------------
 
 
+def retraction_onto(s):
+    """(S_D B^T)^-1 S_D, the greedy retraction onto s in echelon coordinates
+    of s, built from the trailing-pivot selection S_D."""
+    select = _trailing_pivots(s)
+    return (select @ s.basis_matrix().transpose()).inverse() @ select
+
+
 def test_retraction_onto_second_axis_line():
     s = Subspace.from_vectors(2, 2, [(0, 1)])
     r = retraction_onto(s)
@@ -232,22 +238,6 @@ def test_retraction_law_on_random_subspaces(base_seed):
             assert proj @ proj == proj
 
 
-def _greedy_retraction(s):
-    """The retraction by its definition: extend the echelon basis of s by
-    e_0, e_1, ... whenever the rank grows, invert the n x n basis matrix,
-    and keep the rows indexing s."""
-    p, n, d = s.p, s.ambient_dim, s.dim
-    rows, pivots = [oracle_row(p, r, n) for r in s._rows], list(s._pivots)
-    basis = list(s._rows)
-    for e_i in FieldMatrix.identity(p, n)._rows:
-        if len(rows) == n:
-            break
-        if insert_row(p, n, rows, pivots, oracle_row(p, e_i, n)):
-            basis.append(e_i)
-    q_inv = FieldMatrix._raw(p, n, n, tuple(basis)).transpose().inverse()
-    return FieldMatrix._raw(p, d, n, q_inv._rows[:d])
-
-
 def test_trailing_pivot_retraction_matches_the_greedy_oracle(base_seed, corpus):
     rng = random.Random(base_seed + 29)
     for p in (2, 3, 5):
@@ -261,11 +251,11 @@ def test_trailing_pivot_retraction_matches_the_greedy_oracle(base_seed, corpus):
                 ]
                 spaces.append(Subspace.from_vectors(p, n, vecs))
             for s in spaces:
-                assert retraction_onto(s) == _greedy_retraction(s), (p, n, s.basis_vectors())
+                assert retraction_onto(s) == greedy_retraction(s), (p, n, s.basis_vectors())
     for b in corpus:
         ma = b.comodule_algebra
         total, _ = comodule_primitives_total(ma.base, ma.grouplikes)
-        assert retraction_onto(total) == _greedy_retraction(total), b.name
+        assert retraction_onto(total) == greedy_retraction(total), b.name
 
 
 def test_choose_retraction_lands_on_total_primitives(corpus):
@@ -277,31 +267,35 @@ def test_choose_retraction_lands_on_total_primitives(corpus):
     assert ret.ncols == ma.dim
 
 
-# -- phi and its inverse -------------------------------------------------------------
+# -- h against the phi-solve route ---------------------------------------------------
 
 
-def _p1_and_phi(ma):
-    """P_1(M) and the matrix of phi: k[G] (x) P_1(M) -> M, g (x) v -> g.v,
-    grouplike-major over the echelon basis of P_1(M)."""
-    w = ma.grouplikes.vectors[ma.unit_grouplike_index()]
-    p1 = comodule_primitives_at(ma.base, w)
-    cols = [a.matvec(v) for a in ma.action for v in p1.basis_vectors()]
-    return p1, FieldMatrix.from_cols(ma.p, cols, nrows=ma.dim)
-
-
-def test_phi_inverse_inverts_phi_on_corpus(corpus):
-    for b in _certified_bundles(corpus):
-        ma = b.comodule_algebra
-        p1, ph = _p1_and_phi(ma)
-        total, _ = comodule_primitives_total(ma.base, ma.grouplikes)
-        ph_inv = _phi_inverse(ma, p1, total)
-        incl = FieldMatrix.from_cols(ma.p, list(total.basis_vectors()), nrows=ma.dim)
-        assert ph @ ph_inv == incl
-        coords = incl.solve(ph)
-        assert coords is not None
-        assert ph_inv @ coords == FieldMatrix.identity(ma.p, ph.ncols)
-        assert coords @ ph_inv == FieldMatrix.identity(ma.p, total.dim)
-        assert retraction_onto(total).nrows == total.dim
+def test_build_h_matches_the_phi_solve_route(corpus, base_seed):
+    """t = (eps (x) id) (S_D phi)^-1 S_D is exactly the composite of phi
+    solved against the echelon basis of P(M) with the greedy retraction:
+    build_h writes the h of that route, entry for entry.  The conjugated
+    copies put P(M) off the coordinate axes and phi off the identity."""
+    rng = random.Random(base_seed + 43)
+    certified = _certified_bundles(corpus)
+    conjugated = [
+        _conjugate(
+            b.comodule_algebra,
+            b.splitting_map,
+            _random_invertible(rng, b.coalgebra.p, b.comodule_algebra.dim),
+        )
+        for b in certified
+        if b.comodule_algebra.dim <= 24
+    ]
+    generated = [gen_binomial_truncation(p, d) for p, d in ((3, 9), (3, 16), (5, 25), (7, 10))]
+    generated += [bundle_extended(level, a) for level, a in ((0, 2), (0, 4), (1, 3), (2, 2))]
+    pairs = [(b.comodule_algebra, b.splitting_map) for b in (*certified, *generated)] + conjugated
+    saw_nontrivial = False
+    for ma, f in pairs:
+        cert = build_h(ma, f)
+        assert cert.certified
+        assert cert.h_matrix == h_by_phi_solve(ma)
+        saw_nontrivial |= cert.h_matrix != FieldMatrix.identity(ma.p, ma.dim)
+    assert saw_nontrivial
 
 
 def test_phi_inverse_rejects_singular_action(corpus):
@@ -320,6 +314,18 @@ def test_phi_inverse_rejects_collapsed_decomposition(corpus):
     lazy = dataclasses.replace(ma, action=(ident, ident, ident), sigma_action=None, product=None)
     with pytest.raises(DecompositionFails):
         build_h(lazy, bundles["sigma_level0_id"].splitting_map, force=True)
+
+
+def test_phi_inverse_rejects_an_image_off_the_primitives(corpus, base_seed):
+    """Random invertible actions keep the rank of phi at dim P(M) but move
+    its column space off P(M); build_h must refuse rather than invert S_D phi."""
+    b = {b.name: b for b in corpus}["extended_a2_level1"]
+    ma = b.comodule_algebra
+    rng = random.Random(base_seed + 61)
+    action = (ma.action[0], *(_random_invertible(rng, ma.p, ma.dim) for _ in ma.action[1:]))
+    moved = dataclasses.replace(ma, action=action, sigma_action=None, product=None)
+    with pytest.raises(DecompositionFails, match="P\\(M\\) is not contained in the image of phi"):
+        build_h(moved, b.splitting_map, force=True)
 
 
 def test_build_h_computes_each_layer_once(corpus, monkeypatch):
