@@ -13,6 +13,11 @@ exit-code contract:
 
 Emitted JSON is deterministic (sorted keys); certificate files additionally
 use a compact one-line encoding so identical runs produce identical bytes.
+
+Each subcommand is declared once, in ``_SUBCOMMANDS``.  A command builds
+only the subparser it names; help, no arguments, an unknown name or a
+leading option build all of them.  Help, usage and error texts are the
+same either way.
 """
 
 from __future__ import annotations
@@ -312,52 +317,56 @@ def cmd_generate(args) -> int:
 
 
 # -- parser ----------------------------------------------------------------------------
+#
+# Each subcommand is declared as (name, help, function adding its arguments).
+# The functions name cmd_* at call time, so a handler is looked up when the
+# parser is built, not when this module is imported, and a wrapper put on
+# the module attribute (a tracer's, say) is the one that runs.
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="comodule-splitter",
-        description="Validate, filter, and split comodules over pointed coalgebras.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="run the validator matching the file kind")
+def _validate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("path")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("grouplikes", help="list the grouplikes of a coalgebra")
+
+def _grouplikes_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("path")
     p.add_argument("--search", action="store_true", help="brute-force even when declared")
     p.add_argument("--bound", type=int, default=None, help="search-space bound override")
     p.set_defaults(func=cmd_grouplikes)
 
-    p = sub.add_parser("filtration", help="socle filtration of a coalgebra or comodule")
+
+def _filtration_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("path")
     p.add_argument("--algo", choices=("direct", "wedge"), default="wedge")
     p.add_argument("--max-level", type=int, default=None)
     p.add_argument("--search", action="store_true")
     p.set_defaults(func=cmd_filtration)
 
-    p = sub.add_parser("primitives", help="primitive elements at a grouplike, or all")
+
+def _primitives_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("path")
     p.add_argument("--at", type=int, default=None, help="grouplike index")
     p.add_argument("--search", action="store_true")
     p.set_defaults(func=cmd_primitives)
 
-    p = sub.add_parser("cotensor", help="cotensor a comodule with a built-in left factor")
+
+def _cotensor_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("path")
     p.add_argument("--with", dest="with_", required=True, metavar="FACTOR",
                    help="sigma, coradical, or g:IDX")
     p.add_argument("--search", action="store_true")
     p.set_defaults(func=cmd_cotensor)
 
-    p = sub.add_parser("star", help="check the graded surjectivity hypothesis")
+
+def _star_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("comodule")
     p.add_argument("map")
     p.add_argument("--strict", action="store_true")
     p.set_defaults(func=cmd_star)
 
-    p = sub.add_parser("split", help="build and certify the splitting isomorphism")
+
+def _split_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("comodule")
     p.add_argument("map")
     p.add_argument("--out", required=True, help="certificate file to write")
@@ -365,17 +374,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true")
     p.set_defaults(func=cmd_split)
 
-    p = sub.add_parser("certify", help="re-verify a certificate from scratch")
+
+def _certify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("cert")
     p.add_argument("comodule")
     p.add_argument("map")
     p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("corpus", help="run every bundle in a directory")
+
+def _corpus_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dir", required=True)
     p.set_defaults(func=cmd_corpus)
 
-    p = sub.add_parser("generate", help="write example definition files")
+
+def _generate_arguments(p: argparse.ArgumentParser) -> None:
     gen = p.add_subparsers(dest="kind", required=True)
     g = gen.add_parser("group-algebra")
     g.add_argument("--p", type=int, default=2)
@@ -397,13 +409,48 @@ def _build_parser() -> argparse.ArgumentParser:
         g.add_argument("--out", default=".")
         g.set_defaults(func=cmd_generate)
 
+
+_SUBCOMMANDS = (
+    ("validate", "run the validator matching the file kind", _validate_arguments),
+    ("grouplikes", "list the grouplikes of a coalgebra", _grouplikes_arguments),
+    ("filtration", "socle filtration of a coalgebra or comodule", _filtration_arguments),
+    ("primitives", "primitive elements at a grouplike, or all", _primitives_arguments),
+    ("cotensor", "cotensor a comodule with a built-in left factor", _cotensor_arguments),
+    ("star", "check the graded surjectivity hypothesis", _star_arguments),
+    ("split", "build and certify the splitting isomorphism", _split_arguments),
+    ("certify", "re-verify a certificate from scratch", _certify_arguments),
+    ("corpus", "run every bundle in a directory", _corpus_arguments),
+    ("generate", "write example definition files", _generate_arguments),
+)
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for ``argv``.  When argv[0] names a subcommand, only that
+    subparser is added; otherwise (help, no arguments, an unknown name, a
+    leading option) all of them are.  A subparser's prog, usage and help do
+    not depend on its siblings."""
+    names = [name for name, _, _ in _SUBCOMMANDS]
+    only = argv[0] if argv and argv[0] in names else None
+    parser = argparse.ArgumentParser(
+        prog="comodule-splitter",
+        description="Validate, filter, and split comodules over pointed coalgebras.",
+    )
+    # argparse prints the top-level usage for unrecognized arguments, so a
+    # parser with one subparser still lists every choice there.
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if only is None else "{" + ",".join(names) + "}",
+    )
+    for name, help_text, add_arguments in _SUBCOMMANDS:
+        if only in (None, name):
+            add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -120,34 +120,20 @@ class Comodule:
         triples (b, k, c) of psi(m_i), and e_r (x) sigma_k sits at row
         r * sigma_dim + k."""
         p, s = self.p, self.over.dim
-        acols = a.sparse_cols()
+        acols = [[(r * s, x) for r, x in col.items()] for col in a.sparse_cols()]
         out = []
         for triples in self.psi:
             col: dict[int, int] = {}
             for b, k, c in triples:
-                for r, x in acols[b].items():
-                    _add_mod(col, r * s + k, c * x, p)
-            out.append(col)
+                for key, x in acols[b]:
+                    col[key + k] = col.get(key + k, 0) + c * x
+            out.append({key: y for key, x in col.items() if (y := x % p)})
         return out
 
     @classmethod
     def regular(cls, sigma: Coalgebra) -> "Comodule":
         """The over-coalgebra as a right comodule over itself, psi = Delta."""
         return cls(sigma, sigma.dim, sigma.labels, sigma.delta)
-
-    @classmethod
-    def cofree(cls, sigma: Coalgebra, n: int) -> "Comodule":
-        """V (x) Sigma for an n-dimensional V, with coaction id_V (x) Delta:
-        v_u (x) sigma_k sits at index u * sigma_dim + k and maps to
-        sum c * (v_u (x) sigma_j) (x) sigma_l over Delta(sigma_k)."""
-        s = sigma.dim
-        psi = tuple(
-            tuple((u * s + j, l, c) for j, l, c in sigma.delta[k])
-            for u in range(n)
-            for k in range(s)
-        )
-        labels = tuple(f"{u}*{lab}" for u in range(n) for lab in sigma.labels)
-        return cls(sigma, n * s, labels, psi)
 
     def same_structure(self, other: "Comodule") -> bool:
         """Structural equality that ignores basis labels and enrichments."""
@@ -297,11 +283,11 @@ class ComoduleMap:
         p, s = self.source.p, self.source.over.dim
         out = []
         for col, fcol in zip(self.source.coaction_along(self.matrix), self.matrix.sparse_cols()):
-            res = {key: p - v for key, v in col.items()}
+            res = {key: -v for key, v in col.items()}
             for r, x in fcol.items():
                 for a, k, c in self.target.psi[r]:
-                    _add_mod(res, a * s + k, x * c, p)
-            out.append(res)
+                    res[a * s + k] = res.get(a * s + k, 0) + x * c
+            out.append({key: y for key, v in res.items() if (y := v % p)})
         return out
 
     def is_comodule_map(self) -> bool:

@@ -798,18 +798,17 @@ class AdaptedCoaction:
         else:
             inv = pow(unit[lead], -1, p)
             scaled = [(a, x * inv % p) for a, x in enumerate(unit) if x % p]
-            end = hi * width
+            # The band's entries at the unit's leading index, with the shifted
+            # start of their block.
+            band = [(j * width + lead, j * width - shift) for j in range(lo, hi)]
             cols = []
             for c in self._cols:
                 out = {key - shift: x for key, x in c.items() if key >= shift}
-                hits = [
-                    (key - shift - lead, x)
-                    for key, x in c.items()
-                    if shift <= key < end and key % width == lead
-                ]
                 # kernel_from_sparse_cols reduces the entries mod p.
-                for base, x in hits:
-                    for a, y in scaled:
-                        out[base + a] = out.get(base + a, 0) - x * y
+                for hit, base in band:
+                    x = c.get(hit)
+                    if x:
+                        for a, y in scaled:
+                            out[base + a] = out.get(base + a, 0) - x * y
                 cols.append(out)
         return kernel_from_sparse_cols(p, len(self._cols), cols)

@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .comodule import (
-    Comodule,
     ComoduleAlgebra,
     ComoduleMap,
     check_star_surjective,
@@ -151,12 +150,24 @@ def _assemble_h(ma: ComoduleAlgebra, p1: Subspace) -> FieldMatrix:
 def _residual_witness(ma: ComoduleAlgebra, h: FieldMatrix, d1: int) -> str | None:
     """A witness naming the basis label of M at the first nonzero column of
     (id_{P_1} (x) Delta) h - (h (x) id_Sigma) psi, or None when h is a map of
-    comodules into the cofree comodule P_1(M) (x) Sigma."""
+    comodules into the cofree comodule P_1(M) (x) Sigma.
+
+    v_u (x) sigma_k sits at row r = u * sigma_dim + k of h, and the term
+    c * v_u (x) sigma_j (x) sigma_l of its image under id (x) Delta at
+    (u * sigma_dim + j) * sigma_dim + l, read off the triples (j, l, c) of
+    Delta(sigma_k)."""
     if d1 == 0:
         return None
-    residual = ComoduleMap(ma.base, Comodule.cofree(ma.sigma, d1), h).residual()
-    for i, col in enumerate(residual):
-        if col:
+    p, s, delta = ma.p, ma.sigma.dim, ma.sigma.delta
+    for i, (along, hcol) in enumerate(zip(ma.base.coaction_along(h), h.sparse_cols())):
+        lhs: dict[int, int] = {}
+        for r, x in hcol.items():
+            k = r % s
+            base = (r - k) * s
+            for j, l, c in delta[k]:
+                key = base + j * s + l
+                lhs[key] = lhs.get(key, 0) + x * c
+        if {key: y for key, v in lhs.items() if (y := v % p)} != along:
             return f"first nonzero residual column {ma.base.labels[i]}"
     return None
 

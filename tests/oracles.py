@@ -21,6 +21,11 @@ replaced.  It is held to the literal route in turn.  ``spread_rewrite`` is
 the F_2 rewrite ``AdaptedCoaction`` used to do, one wide spread row shifted
 per triple.
 
+``cofree`` builds V (x) Sigma as a comodule, and
+``residual_witness_by_cofree`` names the first nonzero residual column of h
+into it, the route the splitting's residual witness took before it read
+Delta's triples directly.
+
 ``greedy_retraction`` is the retraction onto a subspace by its definition,
 and ``h_by_phi_solve`` assembles h the way the library used to: phi solved
 against the echelon basis of P(M), composed with that retraction and a
@@ -36,7 +41,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterable, Sequence
 
-from comodule_splitter.coalgebra import Filtration, GroupLikeSet
+from comodule_splitter.coalgebra import Coalgebra, Filtration, GroupLikeSet
 from comodule_splitter.comodule import (
     Comodule,
     ComoduleAlgebra,
@@ -232,6 +237,32 @@ def h_by_phi_solve(ma: ComoduleAlgebra) -> FieldMatrix:
     eps = FieldMatrix(p, [[int(c % d1 == r) for c in range(width)] for r in range(d1)], ncols=width)
     t = eps @ ph_inv @ greedy_retraction(total)
     return FieldMatrix.from_sparse_cols(p, d1 * ma.sigma.dim, ma.base.coaction_along(t))
+
+
+def cofree(sigma: Coalgebra, n: int) -> Comodule:
+    """V (x) Sigma for an n-dimensional V, with coaction id_V (x) Delta:
+    v_u (x) sigma_k sits at index u * sigma_dim + k and maps to
+    sum c * (v_u (x) sigma_j) (x) sigma_l over Delta(sigma_k)."""
+    s = sigma.dim
+    psi = tuple(
+        tuple((u * s + j, l, c) for j, l, c in sigma.delta[k])
+        for u in range(n)
+        for k in range(s)
+    )
+    labels = tuple(f"{u}*{lab}" for u in range(n) for lab in sigma.labels)
+    return Comodule(sigma, n * s, labels, psi)
+
+
+def residual_witness_by_cofree(ma: ComoduleAlgebra, h: FieldMatrix, d1: int) -> str | None:
+    """The residual witness of h as a map of comodules into ``cofree``
+    (ma.sigma, d1), through ``ComoduleMap.residual``."""
+    if d1 == 0:
+        return None
+    residual = ComoduleMap(ma.base, cofree(ma.sigma, d1), h).residual()
+    for i, col in enumerate(residual):
+        if col:
+            return f"first nonzero residual column {ma.base.labels[i]}"
+    return None
 
 
 def intersect(u: Subspace, v: Subspace) -> Subspace:

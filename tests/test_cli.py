@@ -16,7 +16,9 @@ import os
 import shutil
 from collections import Counter
 
-from comodule_splitter import definitions
+import pytest
+
+from comodule_splitter import cli, definitions
 from comodule_splitter.cli import main
 from comodule_splitter.definitions import write_bundle
 from comodule_splitter.generators import gen_binomial_truncation
@@ -134,6 +136,168 @@ def test_parse_and_usage_errors_exit_2(capsys, tmp_path, corpus_dir):
         assert code == 2, key
         assert err.startswith("error: ParseError") and err.count("\n") == 1, (key, err)
         bad.unlink()
+
+
+# -- parser ----------------------------------------------------------------------------
+
+# Sample argvs per subcommand, every option used at least once.
+_PARSER_SAMPLES = {
+    "validate": [["validate", "x.json"]],
+    "grouplikes": [["grouplikes", "x.json"], ["grouplikes", "x.json", "--search", "--bound", "9"]],
+    "filtration": [
+        ["filtration", "x.json"],
+        ["filtration", "x.json", "--algo", "direct", "--max-level", "3", "--search"],
+    ],
+    "primitives": [["primitives", "x.json"], ["primitives", "x.json", "--at", "1", "--search"]],
+    "cotensor": [["cotensor", "x.json", "--with", "g:0"], ["cotensor", "x.json", "--with", "sigma", "--search"]],
+    "star": [["star", "m.json", "f.json"], ["star", "m.json", "f.json", "--strict"]],
+    "split": [
+        ["split", "m.json", "f.json", "--out", "c.json"],
+        ["split", "m.json", "f.json", "--out", "c.json", "--force", "--strict"],
+    ],
+    "certify": [["certify", "c.json", "m.json", "f.json"]],
+    "corpus": [["corpus", "--dir", "d"]],
+    "generate": [
+        ["generate", "group-algebra", "--p", "3", "--n", "2", "--out", "o"],
+        ["generate", "binomial", "--p", "5", "--d", "25"],
+        ["generate", "sigma", "--level", "1"],
+        ["generate", "extended", "--level", "2", "--a-dim", "4", "--out", "o"],
+        ["generate", "control"],
+        ["generate", "corpus", "--out", "o"],
+        ["generate", "random", "--seed", "7"],
+        ["generate", "non-pointed"],
+    ],
+}
+
+
+def _help_text(capsys, parser, argv) -> str:
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_each_subcommand_parser_matches_the_full_parser(capsys, monkeypatch):
+    """main builds only the subparser argv[0] names; that subparser must
+    print the same help and parse the same Namespace as in the full tree."""
+    monkeypatch.setenv("COLUMNS", "80")
+    names = [name for name, _, _ in cli._SUBCOMMANDS]
+    assert sorted(_PARSER_SAMPLES) == sorted(names)
+    full = cli._build_parser([])
+    for name in names:
+        alone = cli._build_parser([name])
+        prefixes = [[name]]
+        if name == "generate":
+            prefixes += [argv[:2] for argv in _PARSER_SAMPLES[name]]
+        for prefix in prefixes:
+            text = _help_text(capsys, alone, [*prefix, "-h"])
+            assert text.startswith(f"usage: comodule-splitter {' '.join(prefix)} ")
+            assert text == _help_text(capsys, full, [*prefix, "-h"]), prefix
+        for argv in _PARSER_SAMPLES[name]:
+            args = alone.parse_args(argv)
+            assert args == full.parse_args(argv), argv
+            assert args.func is getattr(cli, f"cmd_{name}")
+
+
+_FULL_USAGE = """\
+usage: comodule-splitter [-h]
+                         {validate,grouplikes,filtration,primitives,cotensor,star,split,certify,corpus,generate}
+                         ...
+"""
+
+_SPLIT_USAGE = """\
+usage: comodule-splitter split [-h] --out OUT [--force] [--strict]
+                               comodule map
+"""
+
+# stdout, stderr and exit code of each argv, as argparse prints them on
+# Python 3.10 and 3.11 at 80 columns from the full parser tree.
+_PINNED_USAGE = [
+    ([], "", _FULL_USAGE + "comodule-splitter: error: the following arguments are required: command\n", 2),
+    (
+        ["-h"],
+        _FULL_USAGE
+        + """
+Validate, filter, and split comodules over pointed coalgebras.
+
+positional arguments:
+  {validate,grouplikes,filtration,primitives,cotensor,star,split,certify,corpus,generate}
+    validate            run the validator matching the file kind
+    grouplikes          list the grouplikes of a coalgebra
+    filtration          socle filtration of a coalgebra or comodule
+    primitives          primitive elements at a grouplike, or all
+    cotensor            cotensor a comodule with a built-in left factor
+    star                check the graded surjectivity hypothesis
+    split               build and certify the splitting isomorphism
+    certify             re-verify a certificate from scratch
+    corpus              run every bundle in a directory
+    generate            write example definition files
+
+options:
+  -h, --help            show this help message and exit
+""",
+        "",
+        0,
+    ),
+    (
+        ["split", "-h"],
+        _SPLIT_USAGE
+        + """
+positional arguments:
+  comodule
+  map
+
+options:
+  -h, --help  show this help message and exit
+  --out OUT   certificate file to write
+  --force     build even when the hypothesis fails
+  --strict
+""",
+        "",
+        0,
+    ),
+    (
+        ["bogus"],
+        "",
+        _FULL_USAGE
+        + "comodule-splitter: error: argument command: invalid choice: 'bogus' (choose from"
+        " 'validate', 'grouplikes', 'filtration', 'primitives', 'cotensor', 'star', 'split',"
+        " 'certify', 'corpus', 'generate')\n",
+        2,
+    ),
+    (
+        ["split", "x.json"],
+        "",
+        _SPLIT_USAGE
+        + "comodule-splitter split: error: the following arguments are required: map, --out\n",
+        2,
+    ),
+    # argparse reports unrecognized arguments with the top-level usage, so
+    # a parser built for split alone must still list every subcommand there.
+    (
+        ["split", "m.json", "f.json", "--out", "c.json", "--bogus"],
+        "",
+        _FULL_USAGE + "comodule-splitter: error: unrecognized arguments: --bogus\n",
+        2,
+    ),
+    (
+        ["filtration", "x.json", "--max-level", "two"],
+        "",
+        """\
+usage: comodule-splitter filtration [-h] [--algo {direct,wedge}]
+                                    [--max-level MAX_LEVEL] [--search]
+                                    path
+comodule-splitter filtration: error: argument --max-level: invalid int value: 'two'
+""",
+        2,
+    ),
+]
+
+
+def test_help_and_usage_errors_are_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv, out, err, code in _PINNED_USAGE:
+        assert _run(capsys, *argv) == (code, out, err), argv
 
 
 # -- grouplikes ------------------------------------------------------------------------

@@ -58,6 +58,7 @@ from comodule_splitter.generators import (
 from oracles import (
     StaircaseMembership,
     check_map_preserves_filtration,
+    cofree,
     intersect,
     preimage,
     primitives_cotensor_embedding,
@@ -415,7 +416,7 @@ def _staircase_cases(corpus, base_seed):
         bundle = gen_random_pointed(base_seed + offset)
         sigma, g = bundle.coalgebra, bundle.grouplikes
         w = random.Random(base_seed + offset).choice(g.vectors)
-        m = Comodule.cofree(sigma, 2)
+        m = cofree(sigma, 2)
         ident = FieldMatrix.identity(sigma.p, m.dim)
         pad = (0,) * sigma.dim
         cases.append(

@@ -38,8 +38,8 @@ from comodule_splitter.generators import (
     gen_random_pointed,
     shipped_corpus,
 )
-from comodule_splitter.splitting import _trailing_pivots
-from oracles import greedy_retraction, h_by_phi_solve
+from comodule_splitter.splitting import _residual_witness, _trailing_pivots
+from oracles import cofree, greedy_retraction, h_by_phi_solve, residual_witness_by_cofree
 
 EXPECTED_RANKS = {
     "binomial_2_4_id": 4,
@@ -437,14 +437,14 @@ def test_sparse_residual_matches_dense_oracle(corpus, base_seed):
         p, s = sigma.p, sigma.dim
         seen_p.add(p)
         rng = random.Random(base_seed + offset)
-        reg, cofree = Comodule.regular(sigma), Comodule.cofree(sigma, 2)
+        reg, free = Comodule.regular(sigma), cofree(sigma, 2)
         rand = lambda r, c: FieldMatrix(p, [[rng.randrange(p) for _ in range(c)] for _ in range(r)])
         first_copy = FieldMatrix(p, [[1 if r == k else 0 for k in range(s)] for r in range(2 * s)])
         maps += [
             (ComoduleMap(reg, reg, FieldMatrix.identity(p, s)), True),
-            (ComoduleMap(reg, cofree, first_copy), True),
-            (ComoduleMap(reg, cofree, rand(2 * s, s)), None),
-            (ComoduleMap(cofree, reg, rand(s, 2 * s)), None),
+            (ComoduleMap(reg, free, first_copy), True),
+            (ComoduleMap(reg, free, rand(2 * s, s)), None),
+            (ComoduleMap(free, reg, rand(s, 2 * s)), None),
         ]
     assert seen_p == {2, 3}
     # every corpus map is a comodule map, the control's zero map included
@@ -452,13 +452,39 @@ def test_sparse_residual_matches_dense_oracle(corpus, base_seed):
     for b in _certified_bundles(corpus):
         ma = b.comodule_algebra
         cert = build_h(ma, b.splitting_map)
-        target = Comodule.cofree(ma.sigma, cert.p1_basis.dim)
+        target = cofree(ma.sigma, cert.p1_basis.dim)
         maps.append((ComoduleMap(ma.base, target, cert.h_matrix), True))
         maps.append((ComoduleMap(ma.base, target, _tamper(cert.h_matrix, 0, 1)), False))
     for f, expected in maps:
         assert _residual_as_matrix(f) == _dense_residual_oracle(f)
         if expected is not None:
             assert f.is_comodule_map() == expected
+
+
+def test_residual_witness_matches_the_cofree_route(corpus, base_seed):
+    """The residual witness reads Delta's triples directly; it must name the
+    same column as the residual of h into the cofree comodule
+    P_1(M) (x) Sigma: for the honest h, for h with one entry bumped, and for
+    a random h, on the certified corpus and on odd-p and extended bundles."""
+    rng = random.Random(base_seed)
+    bundles = _certified_bundles(corpus) + [
+        gen_binomial_truncation(3, 9),
+        gen_binomial_truncation(5, 25),
+        bundle_extended(1, 3),
+    ]
+    named = 0
+    for b in bundles:
+        ma = b.comodule_algebra
+        h = build_h(ma, b.splitting_map).h_matrix
+        d1 = h.nrows // ma.sigma.dim
+        random_h = FieldMatrix(ma.p, [[rng.randrange(ma.p) for _ in range(h.ncols)] for _ in range(h.nrows)])
+        bumped = [_tamper(h, rng.randrange(h.nrows), rng.randrange(h.ncols)) for _ in range(4)]
+        for k in [h, random_h, *bumped]:
+            witness = _residual_witness(ma, k, d1)
+            assert witness == residual_witness_by_cofree(ma, k, d1), b.name
+            named += witness is not None
+        assert _residual_witness(ma, h, d1) is None
+    assert named >= len(bundles) * 3
 
 
 def test_recheck_names_the_first_nonzero_residual_column(corpus):
@@ -471,7 +497,7 @@ def test_recheck_names_the_first_nonzero_residual_column(corpus):
     (check,) = [c for c in report.checks if c.name == "comodule_residual_zero"]
     assert check.witness == "first nonzero residual column t^3"
     # the dense oracle agrees on where the residual first shows
-    oracle = _dense_residual_oracle(ComoduleMap(ma.base, Comodule.cofree(ma.sigma, 1), tampered.h_matrix))
+    oracle = _dense_residual_oracle(ComoduleMap(ma.base, cofree(ma.sigma, 1), tampered.h_matrix))
     first = min(j for j in range(ma.dim) if any(oracle.col(j)))
     assert ma.base.labels[first] == "t^3"
 
