@@ -6,18 +6,21 @@ exit-code contract:
 * 0 success
 * 1 mathematical failure (validator says no, certificate does not check out)
 * 2 parse or usage error (bad JSON, missing file or corpus directory,
-  unsupported level, a grouplike index out of range, a non-prime p or a
-  generator size out of range, an unparsable cap)
+  unsupported level, a grouplike index out of range, a non-prime p, a p
+  at or above 3317044064679887385961981 (where primality is decided
+  exactly), a generator size out of range, an unparsable cap)
 * 3 resource cap hit (tensor-power cell cap, grouplike search bound)
 * 4 splitting hypothesis not met
 
 Emitted JSON is deterministic (sorted keys); certificate files additionally
 use a compact one-line encoding so identical runs produce identical bytes.
 
-Each subcommand is declared once, in ``_SUBCOMMANDS``.  A command builds
-only the subparser it names; help, no arguments, an unknown name or a
-leading option build all of them.  Help, usage and error texts are the
-same either way.
+Each subcommand is declared once, in ``_SUBCOMMANDS``, and runs
+``cmd_<name>``; each ``generate`` kind is declared once, in
+``_GENERATE_KINDS``, with its flags and its builder.  A command builds only
+the subparser it names; help, no arguments, an unknown name or a leading
+option build all of them.  Help, usage and error texts are the same either
+way.  Reports go through ``reporting.report_json``.
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ from .generators import (
     gen_random_pointed,
     shipped_corpus,
 )
-from .reporting import CheckResult, ValidationReport
+from .reporting import CheckResult, ValidationReport, report_json
 from .splitting import build_h, recheck_certificate, verify_theorem_on_corpus
 
 
@@ -146,7 +149,7 @@ def cmd_validate(args) -> int:
             subject=os.path.basename(args.path),
             checks=(CheckResult("is_comodule_map", f.is_comodule_map()),),
         )
-    _emit(report.to_json_dict())
+    _emit(report_json(report))
     return 0 if report.ok else 1
 
 
@@ -190,7 +193,7 @@ def cmd_primitives(args) -> int:
             _emit({"at": args.at, "dim": space.dim, "basis": _basis_lists(space)})
             return 0
         report = f1_decomposition(c, g)
-        _emit(report.to_json_dict())
+        _emit(report_json(report))
         return 0 if report.ok else 1
     if kind != "comodule":
         raise ParseError(f"{args.path}: primitives expects a coalgebra or comodule file")
@@ -201,7 +204,7 @@ def cmd_primitives(args) -> int:
         _emit({"at": args.at, "dim": space.dim, "basis": _basis_lists(space)})
         return 0
     total, report = comodule_primitives_total(m, g)
-    _emit({"report": report.to_json_dict(), "basis": _basis_lists(total)})
+    _emit({"report": report_json(report), "basis": _basis_lists(total)})
     return 0 if report.ok else 1
 
 
@@ -235,7 +238,7 @@ def cmd_star(args) -> int:
     ma = _load_enriched(args.comodule)
     f = load_map(args.map)
     report = check_star_surjective(ma, f, strict=args.strict)
-    _emit(report.to_json_dict())
+    _emit(report_json(report))
     return 0 if report.ok else 4
 
 
@@ -265,7 +268,7 @@ def cmd_certify(args) -> int:
     ma = _load_enriched(args.comodule)
     f = load_map(args.map)
     report = recheck_certificate(cert, ma, f)
-    _emit(report.to_json_dict())
+    _emit(report_json(report))
     return 0 if report.ok else 1
 
 
@@ -285,28 +288,27 @@ def cmd_corpus(args) -> int:
     return 0 if report.ok else 1
 
 
+# generate kind -> (its integer flags with their defaults, None meaning
+# required; the bundles it builds from the parsed arguments).
+_GENERATE_KINDS = {
+    "group-algebra": ({"p": 2, "n": 4}, lambda a: [gen_group_algebra(a.p, a.n)]),
+    "binomial": ({"p": 2, "d": 4}, lambda a: [gen_binomial_truncation(a.p, a.d)]),
+    "sigma": ({"level": None}, lambda a: [bundle_sigma_regular(a.level)]),
+    "extended": ({"level": None, "a-dim": 2}, lambda a: [bundle_extended(a.level, a.a_dim)]),
+    "control": ({}, lambda a: [bundle_negative_control()]),
+    "corpus": ({}, lambda a: shipped_corpus()),
+    "random": ({"seed": 0}, lambda a: [gen_random_pointed(a.seed)]),
+    "non-pointed": ({}, lambda a: [gen_non_pointed()]),
+}
+
+
 def cmd_generate(args) -> int:
     # Build before making the directory, so a refused request leaves none.
-    if args.kind == "group-algebra":
-        bundles = [gen_group_algebra(args.p, args.n)]
-    elif args.kind == "binomial":
-        bundles = [gen_binomial_truncation(args.p, args.d)]
-    elif args.kind == "sigma":
-        bundles = [bundle_sigma_regular(args.level)]
-    elif args.kind == "extended":
-        bundles = [bundle_extended(args.level, args.a_dim)]
-    elif args.kind == "control":
-        bundles = [bundle_negative_control()]
-    elif args.kind == "corpus":
-        bundles = shipped_corpus()
-    elif args.kind == "random":
-        bundles = [gen_random_pointed(args.seed)]
-    else:
-        bundles = [gen_non_pointed()]
+    bundles = _GENERATE_KINDS[args.kind][1](args)
     os.makedirs(args.out, exist_ok=True)
     written: list[str] = []
     for bundle in bundles:
-        if args.kind in ("random", "non-pointed"):
+        if bundle.comodule_algebra is None:  # a coalgebra alone, no comodule to write
             name = f"{bundle.name}.json"
             write_coalgebra(bundle.coalgebra, os.path.join(args.out, name))
             written.append(name)
@@ -318,22 +320,20 @@ def cmd_generate(args) -> int:
 
 # -- parser ----------------------------------------------------------------------------
 #
-# Each subcommand is declared as (name, help, function adding its arguments).
-# The functions name cmd_* at call time, so a handler is looked up when the
-# parser is built, not when this module is imported, and a wrapper put on
-# the module attribute (a tracer's, say) is the one that runs.
+# Each subcommand is declared as (name, help, function adding its arguments),
+# and runs cmd_<name>.  That handler is looked up by name when the parser is
+# built, not when this module is imported, so a wrapper put on the module
+# attribute (a tracer's, say) is the one that runs.
 
 
 def _validate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("path")
-    p.set_defaults(func=cmd_validate)
 
 
 def _grouplikes_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("path")
     p.add_argument("--search", action="store_true", help="brute-force even when declared")
     p.add_argument("--bound", type=int, default=None, help="search-space bound override")
-    p.set_defaults(func=cmd_grouplikes)
 
 
 def _filtration_arguments(p: argparse.ArgumentParser) -> None:
@@ -341,14 +341,12 @@ def _filtration_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--algo", choices=("direct", "wedge"), default="wedge")
     p.add_argument("--max-level", type=int, default=None)
     p.add_argument("--search", action="store_true")
-    p.set_defaults(func=cmd_filtration)
 
 
 def _primitives_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("path")
     p.add_argument("--at", type=int, default=None, help="grouplike index")
     p.add_argument("--search", action="store_true")
-    p.set_defaults(func=cmd_primitives)
 
 
 def _cotensor_arguments(p: argparse.ArgumentParser) -> None:
@@ -356,14 +354,12 @@ def _cotensor_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--with", dest="with_", required=True, metavar="FACTOR",
                    help="sigma, coradical, or g:IDX")
     p.add_argument("--search", action="store_true")
-    p.set_defaults(func=cmd_cotensor)
 
 
 def _star_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("comodule")
     p.add_argument("map")
     p.add_argument("--strict", action="store_true")
-    p.set_defaults(func=cmd_star)
 
 
 def _split_arguments(p: argparse.ArgumentParser) -> None:
@@ -372,42 +368,25 @@ def _split_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", required=True, help="certificate file to write")
     p.add_argument("--force", action="store_true", help="build even when the hypothesis fails")
     p.add_argument("--strict", action="store_true")
-    p.set_defaults(func=cmd_split)
 
 
 def _certify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("cert")
     p.add_argument("comodule")
     p.add_argument("map")
-    p.set_defaults(func=cmd_certify)
 
 
 def _corpus_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dir", required=True)
-    p.set_defaults(func=cmd_corpus)
 
 
 def _generate_arguments(p: argparse.ArgumentParser) -> None:
     gen = p.add_subparsers(dest="kind", required=True)
-    g = gen.add_parser("group-algebra")
-    g.add_argument("--p", type=int, default=2)
-    g.add_argument("--n", type=int, default=4)
-    g = gen.add_parser("binomial")
-    g.add_argument("--p", type=int, default=2)
-    g.add_argument("--d", type=int, default=4)
-    g = gen.add_parser("sigma")
-    g.add_argument("--level", type=int, required=True)
-    g = gen.add_parser("extended")
-    g.add_argument("--level", type=int, required=True)
-    g.add_argument("--a-dim", type=int, default=2)
-    gen.add_parser("control")
-    gen.add_parser("corpus")
-    g = gen.add_parser("random")
-    g.add_argument("--seed", type=int, default=0)
-    gen.add_parser("non-pointed")
-    for g in gen.choices.values():
+    for kind, (flags, _) in _GENERATE_KINDS.items():
+        g = gen.add_parser(kind)
+        for flag, default in flags.items():
+            g.add_argument(f"--{flag}", type=int, default=default, required=default is None)
         g.add_argument("--out", default=".")
-        g.set_defaults(func=cmd_generate)
 
 
 _SUBCOMMANDS = (
@@ -443,7 +422,9 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     )
     for name, help_text, add_arguments in _SUBCOMMANDS:
         if only in (None, name):
-            add_arguments(sub.add_parser(name, help=help_text))
+            subparser = sub.add_parser(name, help=help_text)
+            subparser.set_defaults(func=globals()[f"cmd_{name}"])
+            add_arguments(subparser)
     return parser
 
 
@@ -467,7 +448,7 @@ def main(argv=None) -> int:
     except SearchSpaceTooLarge as exc:
         return _fail(exc, 3)
     except HypothesisNotMet as exc:
-        _emit(exc.star_report.to_json_dict())
+        _emit(report_json(exc.star_report))
         return _fail(exc, 4)
     except SplitterError as exc:
         return _fail(exc, 1)

@@ -70,14 +70,15 @@ def effective_cap() -> int:
 def _normalize_triples(
     triples: Iterable[Sequence[int]], p: int, first_dim: int, second_dim: int
 ) -> Triples:
-    """Structure-constant triples (j, k, coeff) summed mod p, zeros dropped,
-    sorted by (j, k); j must lie below first_dim and k below second_dim."""
+    """Structure-constant triples (j, k, coeff) summed, then reduced mod p
+    once, zeros dropped, sorted by (j, k); j must lie below first_dim and k
+    below second_dim."""
     acc: dict[tuple[int, int], int] = {}
     for j, k, coeff in triples:
         if not (0 <= j < first_dim and 0 <= k < second_dim):
             raise ShapeError(f"structure constant index out of range: ({j}, {k})")
-        _add_mod(acc, (j, k), coeff, p)
-    return tuple((j, k, c) for (j, k), c in sorted(acc.items()))
+        acc[j, k] = acc.get((j, k), 0) + coeff
+    return tuple((j, k, c) for (j, k), x in sorted(acc.items()) if (c := x % p))
 
 
 def _coacts_as(triples: Sequence[Triples], v: Vector, g: Vector, p: int) -> bool:

@@ -38,15 +38,17 @@ from __future__ import annotations
 import functools
 import json
 import os
+import typing
 from contextlib import contextmanager
 from contextvars import ContextVar
+from dataclasses import fields
 
 from .coalgebra import Coalgebra, find_grouplikes
 from .comodule import Comodule, ComoduleAlgebra, ComoduleMap
 from .errors import ParseError
 from .field_linalg import FieldMatrix, Subspace, _is_prime
 from .generators import ExampleBundle
-from .reporting import StarLevelResult, StarReport
+from .reporting import StarReport
 from .splitting import SplittingCertificate
 
 
@@ -138,6 +140,16 @@ def _typed(doc: dict, key: str, kind: type, path: str):
     return val
 
 
+def _prime(p, path: str) -> int:
+    """p, when it is a prime integer; ParseError naming path otherwise."""
+    try:
+        if _is_int(p) and _is_prime(p):
+            return p
+    except ParseError as exc:  # too large to decide
+        raise ParseError(f"{path}: {exc}") from None
+    raise ParseError(f"{path}: p must be a prime integer")
+
+
 def _label_index(labels: list[str], path: str) -> dict[str, int]:
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise ParseError(f"{path}: basis must be a list of strings")
@@ -178,9 +190,7 @@ def _int_matrix(raw, p: int, nrows: int, ncols: int, path: str, what: str) -> Fi
 @_once_per_command
 def load_coalgebra(path: str) -> Coalgebra:
     doc = _load_json(path)
-    p = _require(doc, "p", path)
-    if not _is_int(p) or not _is_prime(p):
-        raise ParseError(f"{path}: p must be a prime integer")
+    p = _prime(_require(doc, "p", path), path)
     labels = _require(doc, "basis", path)
     index = _label_index(labels, path)
     dim = len(labels)
@@ -312,15 +322,32 @@ def map_to_doc(f: ComoduleMap, source_ref: str, target_ref: str) -> dict:
     return {"source": source_ref, "target": target_ref, "matrix": f.matrix.rows_as_lists()}
 
 
+def _report_from(cls, doc: dict, path: str):
+    """The report dataclass cls read back from the object report_json wrote:
+    each field of the JSON kind its declaration names.  An optional field
+    may be null or absent; a tuple of reports is a list of objects."""
+    values = {}
+    for f in fields(cls):
+        kind, args = f.type, typing.get_args(f.type)
+        if typing.get_origin(kind) is tuple:
+            entries = _typed(doc, f.name, list, path)
+            if not all(isinstance(e, dict) for e in entries):
+                raise ParseError(f"{path}: star_report {f.name} must be objects")
+            values[f.name] = tuple(_report_from(args[0], e, path) for e in entries)
+        elif type(None) in args:
+            values[f.name] = None if doc.get(f.name) is None else _typed(doc, f.name, args[0], path)
+        else:
+            values[f.name] = _typed(doc, f.name, kind, path)
+    return cls(**values)
+
+
 def load_certificate(path: str) -> SplittingCertificate:
     """Read a certificate file.  Only its form is checked here, including
     that the redundant fields (p1_dim, the star report's ok) agree with the
     rest of the file; whether its claims hold is for recheck_certificate to
     decide."""
     doc = _load_json(path)
-    p = _typed(doc, "p", int, path)
-    if not _is_prime(p):
-        raise ParseError(f"{path}: p must be a prime integer")
+    p = _prime(_typed(doc, "p", int, path), path)
     dim_m = _typed(doc, "dim_m", int, path)
     ambient = _typed(doc, "p1_ambient_dim", int, path)
     rows = _typed(doc, "h", list, path)
@@ -329,29 +356,7 @@ def load_certificate(path: str) -> SplittingCertificate:
     if not len(basis) == p1_basis.dim == _typed(doc, "p1_dim", int, path):
         raise ParseError(f"{path}: p1_dim does not match the stored p1_basis")
     star = _typed(doc, "star_report", dict, path)
-    levels = _typed(star, "levels", list, path)
-    if not all(isinstance(lv, dict) for lv in levels):
-        raise ParseError(f"{path}: star_report levels must be objects")
-    equivariance_ok = star.get("equivariance_ok")
-    if equivariance_ok is not None:
-        equivariance_ok = _typed(star, "equivariance_ok", bool, path)
-    star_report = StarReport(
-        rank=_typed(star, "rank", int, path),
-        target_dim=_typed(star, "target_dim", int, path),
-        surjective=_typed(star, "surjective", bool, path),
-        unit_ok=_typed(star, "unit_ok", bool, path),
-        equivariance_ok=equivariance_ok,
-        strict=_typed(star, "strict", bool, path),
-        levels=tuple(
-            StarLevelResult(
-                level=_typed(lv, "level", int, path),
-                ok=_typed(lv, "ok", bool, path),
-                source_dim=_typed(lv, "source_dim", int, path),
-                target_dim=_typed(lv, "target_dim", int, path),
-            )
-            for lv in levels
-        ),
-    )
+    star_report = _report_from(StarReport, star, path)
     if _typed(star, "ok", bool, path) != star_report.ok:
         raise ParseError(f"{path}: star_report ok contradicts the report's own fields")
     return SplittingCertificate(

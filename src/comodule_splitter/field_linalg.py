@@ -38,19 +38,40 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import ShapeError
+from .errors import ParseError, ShapeError
 
 Vector = Sequence[int]
 
 
+# Miller-Rabin with the primes up to 41 as bases decides primality exactly
+# below this bound (Sorenson and Webster, 2015).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; ParseError at or above _PRIME_BOUND,
+    where these bases are not known to decide."""
+    if n >= _PRIME_BOUND:
+        raise ParseError(f"p = {n} is too large: primality is decided only below {_PRIME_BOUND}")
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

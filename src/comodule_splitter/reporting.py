@@ -1,13 +1,14 @@
 """Report objects produced by validators and checkers.
 
 Validators never raise on a failed axiom; they return a report whose entries
-carry a witness (the basis element or equation that broke).  Reports are
-JSON-friendly so the command line tool can print them directly.
+carry a witness (the basis element or equation that broke).  ``report_json``
+is the one mapping from a report to the JSON the command line tool prints
+and a certificate stores; a report's keys are its dataclass fields.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
+# Annotations are evaluated, not postponed: definitions reads a stored
+# report back by the type of each field.
+from dataclasses import dataclass, field, fields, is_dataclass
 
 
 @dataclass(frozen=True)
@@ -15,12 +16,6 @@ class CheckResult:
     name: str
     passed: bool
     witness: str | None = None
-
-    def to_json_dict(self) -> dict:
-        out: dict = {"name": self.name, "passed": self.passed}
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
 
 
 @dataclass(frozen=True)
@@ -35,13 +30,6 @@ class ValidationReport:
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.passed]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "subject": self.subject,
-            "ok": self.ok,
-            "checks": [c.to_json_dict() for c in self.checks],
-        }
-
 
 @dataclass(frozen=True)
 class StarLevelResult:
@@ -49,14 +37,6 @@ class StarLevelResult:
     ok: bool
     source_dim: int
     target_dim: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "ok": self.ok,
-            "source_dim": self.source_dim,
-            "target_dim": self.target_dim,
-        }
 
 
 @dataclass(frozen=True)
@@ -91,18 +71,6 @@ class StarReport:
                 return f"graded left primitives not covered at level {l.level}"
         return None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "rank": self.rank,
-            "target_dim": self.target_dim,
-            "surjective": self.surjective,
-            "unit_ok": self.unit_ok,
-            "equivariance_ok": self.equivariance_ok,
-            "strict": self.strict,
-            "levels": [l.to_json_dict() for l in self.levels],
-        }
-
 
 @dataclass(frozen=True)
 class F1DecompositionReport:
@@ -119,17 +87,6 @@ class F1DecompositionReport:
     def ok(self) -> bool:
         return self.direct and self.spans_f1
 
-    def to_json_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "dim_coradical": self.dim_coradical,
-            "dim_f1": self.dim_f1,
-            "primitive_dims": list(self.primitive_dims),
-            "primitive_mod_coradical_dims": list(self.primitive_mod_coradical_dims),
-            "direct": self.direct,
-            "spans_f1": self.spans_f1,
-        }
-
 
 @dataclass(frozen=True)
 class PrimitivesReport:
@@ -145,16 +102,6 @@ class PrimitivesReport:
     def ok(self) -> bool:
         return self.direct and self.equals_f0
 
-    def to_json_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "total_dim": self.total_dim,
-            "per_grouplike_dims": list(self.per_grouplike_dims),
-            "f0_dim": self.f0_dim,
-            "direct": self.direct,
-            "equals_f0": self.equals_f0,
-        }
-
 
 @dataclass(frozen=True)
 class CorpusItemResult:
@@ -167,15 +114,6 @@ class CorpusItemResult:
     def ok(self) -> bool:
         return self.outcome == self.expected
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "outcome": self.outcome,
-            "expected": self.expected,
-            "ok": self.ok,
-            "detail": self.detail,
-        }
-
 
 @dataclass(frozen=True)
 class CorpusReport:
@@ -185,5 +123,17 @@ class CorpusReport:
     def ok(self) -> bool:
         return all(i.ok for i in self.items)
 
-    def to_json_dict(self) -> dict:
-        return {"ok": self.ok, "items": [i.to_json_dict() for i in self.items]}
+
+def report_json(report) -> dict:
+    """The JSON form of a report: ``ok`` first when its class computes it,
+    then every field in declaration order.  Tuples become lists, nested
+    reports converted in turn, and a field left at a None default (a
+    passed check's witness) is left out."""
+    out = {"ok": report.ok} if isinstance(getattr(type(report), "ok", None), property) else {}
+    for f in fields(report):
+        value = getattr(report, f.name)
+        if isinstance(value, tuple):
+            value = [report_json(v) if is_dataclass(v) else v for v in value]
+        if value is not None or f.default is not None:
+            out[f.name] = value
+    return out

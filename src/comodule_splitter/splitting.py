@@ -61,6 +61,7 @@ from .reporting import (
     CorpusReport,
     StarReport,
     ValidationReport,
+    report_json,
 )
 
 
@@ -111,7 +112,7 @@ class SplittingCertificate:
             "h": self.h_matrix.rows_as_lists(),
             "rank": self.rank,
             "comodule_residual_zero": self.comodule_residual_zero,
-            "star_report": self.star_report.to_json_dict(),
+            "star_report": report_json(self.star_report),
         }
 
 
@@ -229,11 +230,11 @@ def recheck_certificate(
     """
     checks = []
     star = check_star_surjective(ma, f, strict=cert.star_report.strict)
-    stored = cert.star_report.to_json_dict()
+    stored = report_json(cert.star_report)
     mismatch = next(
         (
             f"stored star_report {key} does not match the recomputed value"
-            for key, value in star.to_json_dict().items()
+            for key, value in report_json(star).items()
             if stored[key] != value
         ),
         None,

@@ -933,6 +933,35 @@ def test_generate_refuses_a_non_prime_p(capsys, tmp_path):
         assert not out_dir.exists()
 
 
+def test_large_primes_are_decided_not_searched(capsys, tmp_path):
+    """A p near 2^61 is generated, split and certified; a Carmichael number,
+    a strong pseudoprime to the bases 2, 3, 5 and 7 and a p above the bound
+    where primality is decided are refused with exit 2, from the generator,
+    a coalgebra file and a certificate alike."""
+    big = 2**61 - 1
+    base = str(tmp_path / f"binomial_{big}_3_id")
+    comodule, fmap, cert = f"{base}.comodule.json", f"{base}.map.json", f"{base}.cert.json"
+    assert _run(capsys, "generate", "binomial", "--p", str(big), "--d", "3", "--out", str(tmp_path))[0] == 0
+    assert _run(capsys, "split", comodule, fmap, "--out", cert)[0] == 0
+    assert _run(capsys, "certify", cert, comodule, fmap)[0] == 0
+    sigma_doc = json.loads(open(f"{base}.sigma.json").read())
+    cert_doc = json.loads(open(cert).read())
+    for p in (561, 3215031751, 2**89 - 1):
+        out_dir = tmp_path / str(p)
+        code, out, err = _run(capsys, "generate", "binomial", "--p", str(p), "--d", "3", "--out", str(out_dir))
+        assert (code, out) == (2, "") and not out_dir.exists(), p
+        assert err.startswith("error: ParseError: ") and err.count("\n") == 1, err
+        assert ("3317044064679887385961981" in err) == (p > 2**64), err
+        sigma = tmp_path / f"sigma_{p}.json"
+        sigma.write_text(json.dumps(dict(sigma_doc, p=p)))
+        code, out, err = _run(capsys, "validate", str(sigma))
+        assert (code, out) == (2, "") and err.startswith(f"error: ParseError: {sigma}: "), err
+        edited = tmp_path / f"cert_{p}.json"
+        edited.write_text(json.dumps(dict(cert_doc, p=p)))
+        code, out, err = _run(capsys, "certify", str(edited), comodule, fmap)
+        assert (code, out) == (2, "") and err.startswith(f"error: ParseError: {edited}: "), err
+
+
 def test_generate_refuses_bad_sizes_with_exit_2(capsys, tmp_path):
     for argv in (
         ("binomial", "--d", "1"),

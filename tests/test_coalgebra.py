@@ -73,6 +73,15 @@ def grouplikes_oracle(c: Coalgebra) -> list[tuple[int, ...]]:
 # -- validator -------------------------------------------------------------------------
 
 
+def test_structure_constants_are_summed_then_reduced():
+    """Repeated triples add up, the sums are reduced mod p, terms that cancel
+    disappear and the rest come sorted; an index out of range is refused."""
+    delta = (((0, 0, 4),), ((1, 0, 1), (1, 1, 1), (0, 1, 2), (1, 1, 2), (0, 1, -1)))
+    assert Coalgebra(3, 2, ("1", "x"), delta, (1, 0)).delta == (((0, 0, 1),), ((0, 1, 1), (1, 0, 1)))
+    with pytest.raises(ShapeError, match=r"structure constant index out of range: \(0, 2\)"):
+        Coalgebra(3, 2, ("1", "x"), (((0, 0, 1),), ((0, 2, 1),)), (1, 0))
+
+
 def test_validator_passes_handmade_examples():
     for c in (cyclic(2, 4), cyclic(3, 3), binomial(2, 4), binomial(3, 5)):
         report = validate_coalgebra(c)

@@ -7,15 +7,18 @@ from the literal subspace sum.
 """
 
 import itertools
+import math
 import random
 
 import pytest
 
-from comodule_splitter.errors import ShapeError
+from comodule_splitter.errors import ParseError, ShapeError
 from comodule_splitter.field_linalg import (
+    _PRIME_BOUND,
     FieldMatrix,
     Subspace,
     _echelon,
+    _is_prime,
     _join,
     _pack,
     _unpack,
@@ -95,6 +98,22 @@ def unpack_oracle(mask: int, n: int) -> tuple[int, ...]:
 
 
 # -- F_2 packing -----------------------------------------------------------------------
+
+
+def test_is_prime_is_exact_below_its_bound():
+    """Miller-Rabin agrees with trial division on small n, sees through
+    strong pseudoprimes to the bases up to 7, 23 and 37, and refuses an n
+    at or above the bound below which its bases are known to decide."""
+    assert [n for n in range(20000) if _is_prime(n)] == [
+        n for n in range(20000) if n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+    ]
+    for n in (561, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(n), n
+    for n in (2**31 - 1, 10**14 + 31, 2**61 - 1):
+        assert _is_prime(n), n
+    for n in (_PRIME_BOUND, 2**89 - 1):
+        with pytest.raises(ParseError, match=str(_PRIME_BOUND)):
+            _is_prime(n)
 
 
 def test_bulk_packing_matches_the_literal_loops(base_seed):

@@ -31,6 +31,7 @@ from comodule_splitter import (
 )
 from comodule_splitter import field_linalg
 from comodule_splitter.definitions import load_certificate
+from comodule_splitter.reporting import CheckResult, report_json
 from comodule_splitter.generators import (
     bundle_extended,
     gen_binomial_truncation,
@@ -547,6 +548,22 @@ def test_certificate_json_round_trip(corpus, tmp_path):
     assert again.certified == cert.certified
     assert again.h_matrix == cert.h_matrix
     assert again.p1_basis == cert.p1_basis
+
+
+def test_report_json_keeps_the_field_order(corpus):
+    """certify names the first stored star-report key that differs, so the
+    key order is part of the certificate: ok, then the fields as declared.
+    A check leaves out a witness it does not have."""
+    b = {b.name: b for b in corpus}["sigma_level1_id"]
+    star = build_h(b.comodule_algebra, b.splitting_map).to_json_dict()["star_report"]
+    assert list(star) == [
+        "ok", "rank", "target_dim", "surjective", "unit_ok", "equivariance_ok", "strict", "levels",
+    ]
+    assert star["levels"]
+    for level in star["levels"]:
+        assert list(level) == ["level", "ok", "source_dim", "target_dim"]
+    assert report_json(CheckResult("c", True)) == {"name": "c", "passed": True}
+    assert report_json(CheckResult("c", False, "w")) == {"name": "c", "passed": False, "witness": "w"}
 
 
 def test_certificate_serialization_is_deterministic(corpus):
