@@ -26,6 +26,7 @@ way.  Reports go through ``reporting.report_json``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import glob
 import json
 import os
@@ -86,7 +87,21 @@ from .splitting import build_h, recheck_certificate, verify_theorem_on_corpus
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    _print(json.dumps(obj, indent=2, sort_keys=True))
+
+
+def _print(text: str) -> None:
+    """Print to stdout.  A reader that has gone away ends the output, not the
+    command: stdout then points at the null device, when it has a file
+    descriptor, so that neither later lines nor the flush at exit fail."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        with contextlib.suppress(OSError, ValueError):  # no descriptor
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
 
 
 def _fail(exc: Exception, code: int) -> int:
@@ -284,7 +299,7 @@ def cmd_corpus(args) -> int:
     for item in report.items:
         status = "PASS" if item.ok else "FAIL"
         detail = f" ({item.detail})" if item.detail else ""
-        print(f"{status} {item.name}: {item.outcome}, expected {item.expected}{detail}")
+        _print(f"{status} {item.name}: {item.outcome}, expected {item.expected}{detail}")
     return 0 if report.ok else 1
 
 

@@ -41,7 +41,6 @@ from .field_linalg import (
     FieldMatrix,
     Subspace,
     Vector,
-    _add_mod,
     _pack,
     _unpack,
     image,
@@ -81,15 +80,55 @@ def _normalize_triples(
     return tuple((j, k, c) for (j, k), x in sorted(acc.items()) if (c := x % p))
 
 
+def _coaction_residual(
+    p: int, width: int, source: Sequence[Triples], fcols: Sequence[dict[int, int]],
+    target: Sequence[Triples] | None = None,
+) -> list[dict[int, int]]:
+    """beta . f - (f (x) id) . alpha as sparse columns, one per source basis
+    vector, each summed in integers and reduced mod p once; all are empty
+    iff f intertwines the two coactions.  ``source[i]`` holds the triples
+    (b, k, c) of alpha(e_i) = sum c * e_b (x) sigma_k, ``fcols[b]`` is f(e_b)
+    as a dict row -> coeff, and ``target[t]`` the triples (a, k, c) of
+    beta(n_t); n_a (x) sigma_k sits at a * width + k.  A row u * n + t of f,
+    n = len(target), is e_u (x) n_t in F^d (x) N with the coaction
+    id (x) beta: beta itself for d = 1, and for beta = Delta the cofree
+    comodule F^d (x) Sigma, read off Delta in place.  Without a target the
+    columns are (f (x) id) . alpha alone."""
+    sign = 1 if target is None else -1
+    along = [[(r * width, sign * x) for r, x in col.items()] for col in fcols]
+    n = len(target) if target else 0
+    out = []
+    for i, triples in enumerate(source):
+        acc: dict[int, int] = {}
+        for b, k, c in triples:
+            for key, x in along[b]:
+                acc[key + k] = acc.get(key + k, 0) + c * x
+        for r, x in fcols[i].items() if n else ():
+            u, t = divmod(r, n)
+            base = u * n * width
+            for a, k, c in target[t]:
+                key = base + a * width + k
+                acc[key] = acc.get(key, 0) + x * c
+        out.append({key: y for key, v in acc.items() if (y := v % p)})
+    return out
+
+
+def _cofree_witness(
+    labels: Sequence[str], source: Sequence[Triples], fcols: Sequence[dict[int, int]],
+    delta: Sequence[Triples], p: int,
+) -> str | None:
+    """The label of the first source basis vector at which f is not a map
+    of comodules into the cofree comodule F^d (x) Sigma, coaction id (x)
+    Delta, or None; row u * dim Sigma + k of f is e_u (x) sigma_k."""
+    residual = _coaction_residual(p, len(delta), source, fcols, delta)
+    return next((labels[i] for i, col in enumerate(residual) if col), None)
+
+
 def _coacts_as(triples: Sequence[Triples], v: Vector, g: Vector, p: int) -> bool:
-    """Does the map e_i -> sum c * e_j (x) e_k over the triples of e_i send
-    v to v (x) g?  Both vectors must be reduced mod p."""
-    lhs: dict[tuple[int, int], int] = {}
-    for i, x in enumerate(v):
-        if x:
-            for j, k, c in triples[i]:
-                _add_mod(lhs, (j, k), x * c, p)
-    return lhs == {(i, k): x * y % p for i, x in enumerate(v) if x for k, y in enumerate(g) if y}
+    """Do the triples (the map e_i -> sum c * e_j (x) e_k) send v to v (x) g,
+    that is, is e -> v a map into them from the line comodule e -> e (x) g?"""
+    line = [tuple((0, k, y) for k, y in enumerate(g) if y)]
+    return not _coaction_residual(p, len(g), line, [{i: x for i, x in enumerate(v) if x}], triples)[0]
 
 
 def _counit_witness(
@@ -102,31 +141,15 @@ def _counit_witness(
     for i, triples in enumerate(outer):
         acc: dict[int, int] = {}
         for t in triples:
-            _add_mod(acc, t[keep_slot], t[2] * counit[t[1 - keep_slot]], p)
-        if acc != {i: 1}:
+            acc[t[keep_slot]] = acc.get(t[keep_slot], 0) + t[2] * counit[t[1 - keep_slot]]
+        if {x: y for x, v in acc.items() if (y := v % p)} != {i: 1}:
             return labels[i]
     return None
 
 
-def _coassociativity_witness(
-    labels: Sequence[str], outer: Sequence[Triples], left: Sequence[Triples],
-    right: Sequence[Triples], p: int,
-) -> str | None:
-    """The label of the first e_i with (left (x) id) outer(e_i) !=
-    (id (x) right) outer(e_i), or None.  Each map is given by its triples
-    (x, y, c) per basis element: left acts on the first slot of outer,
-    right on the second."""
-    for i, triples in enumerate(outer):
-        lhs: dict[tuple[int, int, int], int] = {}
-        rhs: dict[tuple[int, int, int], int] = {}
-        for x, y, c in triples:
-            for u, v, c2 in left[x]:
-                _add_mod(lhs, (u, v, y), c * c2, p)
-            for u, v, c2 in right[y]:
-                _add_mod(rhs, (x, u, v), c * c2, p)
-        if lhs != rhs:
-            return labels[i]
-    return None
+def _as_cols(triples: Sequence[Triples], width: int) -> list[dict[int, int]]:
+    """Triples (a, k, c) per basis element as sparse columns, at rows a * width + k."""
+    return [{a * width + k: c for a, k, c in t} for t in triples]
 
 
 @dataclass(frozen=True)
@@ -173,8 +196,7 @@ class Coalgebra:
     @cached_property
     def _delta_matrix(self) -> FieldMatrix:
         n = self.dim
-        cols = [{j * n + k: c for j, k, c in t} for t in self.delta]
-        return FieldMatrix.from_sparse_cols(self.p, n * n, cols)
+        return FieldMatrix.from_sparse_cols(self.p, n * n, _as_cols(self.delta, n))
 
     def core_equal(self, other: "Coalgebra") -> bool:
         """Same underlying coalgebra: p, dimension, comultiplication, counit.
@@ -210,10 +232,7 @@ class GroupLikeSet:
 
     def index_of(self, v: Vector) -> int | None:
         tv = tuple(x % self.p for x in v)
-        for i, g in enumerate(self.vectors):
-            if g == tv:
-                return i
-        return None
+        return self.vectors.index(tv) if tv in self.vectors else None
 
 
 @dataclass(frozen=True)
@@ -258,7 +277,8 @@ def validate_coalgebra(c: Coalgebra) -> ValidationReport:
         return ValidationReport("coalgebra", tuple(checks))
     checks.append(CheckResult("dimension", True))
     for name, witness in (
-        ("coassociativity", _coassociativity_witness(c.labels, c.delta, c.delta, c.delta, c.p)),
+        # Delta is a comodule map from (C, Delta) into the cofree C (x) C.
+        ("coassociativity", _cofree_witness(c.labels, c.delta, _as_cols(c.delta, c.dim), c.delta, c.p)),
         ("counit_left", _counit_witness(c.labels, c.delta, c.counit, c.p, keep_slot=1)),
         ("counit_right", _counit_witness(c.labels, c.delta, c.counit, c.p, keep_slot=0)),
     ):
@@ -419,8 +439,8 @@ def coradical_filtration_direct(
         col: dict[int, int] = {}
         for j, k, cf in triples:
             for t, qv in qcols[k].items():
-                _add_mod(col, j * nq + t, cf * qv, p)
-        u1cols.append(col)
+                col[j * nq + t] = col.get(j * nq + t, 0) + cf * qv
+        u1cols.append({key: y for key, x in col.items() if (y := x % p)})
 
     ucols = u1cols
     for k in range(1, k_max + 1):
@@ -435,8 +455,9 @@ def coradical_filtration_direct(
                 for idx, cv in col.items():
                     a, rest = divmod(idx, stride)
                     for pos, uv in u1cols[a].items():
-                        _add_mod(out, pos * stride + rest, cv * uv, p)
-                nxt.append(out)
+                        key = pos * stride + rest
+                        out[key] = out.get(key, 0) + cv * uv
+                nxt.append({key: y for key, x in out.items() if (y := x % p)})
             ucols = nxt
         stride = nq**k
         vcols: list[dict[int, int]] = []
@@ -445,8 +466,9 @@ def coradical_filtration_direct(
             for idx, cv in col.items():
                 a, rest = divmod(idx, stride)
                 for t, qv in qcols[a].items():
-                    _add_mod(out, t * stride + rest, cv * qv, p)
-            vcols.append(out)
+                    key = t * stride + rest
+                    out[key] = out.get(key, 0) + cv * qv
+            vcols.append(out)  # reduced by the kernel routine
         fk = kernel_from_sparse_cols(p, n, vcols)
         if fk == levels[-1]:
             stabilized = True
@@ -470,16 +492,11 @@ def primitives_at(c: Coalgebra, g: Vector) -> Subspace:
     """The space of g-primitives {v : Delta v = v (x) g + g (x) v}."""
     if not is_grouplike(c, g):
         raise NotGrouplike(f"reference vector {list(g)} is not grouplike")
+    # They are where the identity intertwines v -> v (x) g + g (x) v with Delta.
     p, n = c.p, c.dim
-    support = [(k, x % p) for k, x in enumerate(g) if x % p]
-    cols = []
-    for i, triples in enumerate(c.delta):
-        col = {j * n + k: cf for j, k, cf in triples}
-        for k, x in support:
-            _add_mod(col, i * n + k, -x, p)
-            _add_mod(col, k * n + i, -x, p)
-        cols.append(col)
-    return kernel_from_sparse_cols(p, n, cols)
+    support = [(k, x) for k, x in enumerate(g) if x % p]
+    both = [tuple((i, k, x) for k, x in support) + tuple((k, i, x) for k, x in support) for i in range(n)]
+    return kernel_from_sparse_cols(p, n, _coaction_residual(p, n, both, [{i: 1} for i in range(n)], c.delta))
 
 
 def f1_decomposition(c: Coalgebra, g: GroupLikeSet) -> F1DecompositionReport:
@@ -565,15 +582,9 @@ def change_basis(c: Coalgebra, t: FieldMatrix) -> Coalgebra:
     if t.nrows != c.dim or t.ncols != c.dim:
         raise ShapeError("change of basis must be square of the right size")
     t_inv = t.inverse()
-    d_new = t_inv.kron(t_inv) @ c.delta_matrix() @ t
     n = c.dim
-    delta = []
-    for i in range(n):
-        col = d_new.col(i)
-        triples = [
-            (idx // n, idx % n, col[idx]) for idx in range(n * n) if col[idx]
-        ]
-        delta.append(tuple(triples))
+    cols = (t_inv.kron(t_inv) @ c.delta_matrix() @ t).sparse_cols()
+    delta = [tuple((idx // n, idx % n, x) for idx, x in col.items()) for col in cols]
     counit = tuple(
         sum(c.counit[r] * t.entry(r, i) for r in range(n)) % c.p for i in range(n)
     )

@@ -18,15 +18,21 @@ each for all its levels, and F_0(M) = psi^{-1}(M (x) span(g)) is the one
 level of the filtration span(g) of Sigma.  No tensor sum, psi matrix or
 staircase proof is built for any of them.
 
+Every check that a matrix intertwines two coactions is one call of
+``coalgebra._coaction_residual``: the map residual, coassociativity (psi
+into the cofree M (x) Sigma; a left comodule with its slots swapped, over
+Delta^cop), psi(v) = v (x) g, P_g(M), and ``coaction_along``, its first half.
+
 A ComoduleAlgebra packages the extra structure the splitting theorem
 needs: an action of the grouplikes by invertible matrices, a unit vector
 eta with psi(eta) = eta (x) 1, and an augmentation.  Multiplicativity of
 the action against the coaction can only be checked verbatim when the
-left-multiplication matrices on the over-coalgebra are known; without
-them the validator settles for the checkable consequences (identity
-acts as identity, actions are invertible and close under composition,
-the grouplikes stay grouplike inside M, and the action carries
-1-primitives to g-primitives).
+left-multiplication matrices lambda_g on the over-coalgebra are known, as
+a_g mapping the coaction (id (x) lambda_g) psi to psi; without them the
+validator settles for the checkable consequences (identity acts as
+identity, actions are invertible and close under composition, the
+grouplikes stay grouplike inside M, and the action carries 1-primitives
+to g-primitives).
 """
 
 from __future__ import annotations
@@ -38,8 +44,10 @@ from .coalgebra import (
     Coalgebra,
     Filtration,
     GroupLikeSet,
+    _as_cols,
+    _coaction_residual,
     _coacts_as,
-    _coassociativity_witness,
+    _cofree_witness,
     _counit_witness,
     _normalize_triples,
     coradical_filtration_wedge,
@@ -57,7 +65,6 @@ from .field_linalg import (
     FieldMatrix,
     Subspace,
     Vector,
-    _add_mod,
     adapted_basis,
     image,
     kernel_from_sparse_cols,
@@ -98,17 +105,6 @@ class Comodule:
     def p(self) -> int:
         return self.over.p
 
-    def psi_matrix(self) -> FieldMatrix:
-        """The coaction as a (dim * sigma_dim) x dim matrix; m_a (x) sigma_k
-        sits at row a * sigma_dim + k."""
-        return self._psi_matrix
-
-    @cached_property
-    def _psi_matrix(self) -> FieldMatrix:
-        s = self.over.dim
-        cols = [{a * s + k: c for a, k, c in t} for t in self.psi]
-        return FieldMatrix.from_sparse_cols(self.p, self.dim * s, cols)
-
     @cached_property
     def _primitives(self) -> dict[tuple[int, ...], Subspace]:
         """P_g(M) by grouplike, filled by comodule_primitives_at."""
@@ -116,19 +112,8 @@ class Comodule:
 
     def coaction_along(self, a: FieldMatrix) -> list[dict[int, int]]:
         """(a (x) id_Sigma) . psi as sparse columns, without building a
-        Kronecker product: column i sums c * a(m_b) (x) sigma_k over the
-        triples (b, k, c) of psi(m_i), and e_r (x) sigma_k sits at row
-        r * sigma_dim + k."""
-        p, s = self.p, self.over.dim
-        acols = [[(r * s, x) for r, x in col.items()] for col in a.sparse_cols()]
-        out = []
-        for triples in self.psi:
-            col: dict[int, int] = {}
-            for b, k, c in triples:
-                for key, x in acols[b]:
-                    col[key + k] = col.get(key + k, 0) + c * x
-            out.append({key: y for key, x in col.items() if (y := x % p)})
-        return out
+        Kronecker product; e_r (x) sigma_k sits at row r * sigma_dim + k."""
+        return _coaction_residual(self.p, self.over.dim, self.psi, a.sparse_cols())
 
     @classmethod
     def regular(cls, sigma: Coalgebra) -> "Comodule":
@@ -194,11 +179,16 @@ class LeftComodule:
         return cls(sigma, len(g), labels, tuple(triples))
 
     def validate(self) -> ValidationReport:
+        """Counit and coassociativity; with its tensor slots swapped, N is a
+        right comodule over Sigma with Delta^cop, and psi a map into the
+        cofree comodule N (x) Sigma."""
         c = self.over
+        swapped = [tuple((b, k, x) for k, b, x in t) for t in self.psi]
+        cop = [tuple((j, i, x) for i, j, x in t) for t in c.delta]
         checks = []
         for name, witness in (
             ("counit", _counit_witness(self.labels, self.psi, c.counit, self.p, keep_slot=1)),
-            ("coassociativity", _coassociativity_witness(self.labels, self.psi, c.delta, self.psi, self.p)),
+            ("coassociativity", _cofree_witness(self.labels, swapped, _as_cols(swapped, c.dim), cop, self.p)),
         ):
             checks.append(CheckResult(name, witness is None, witness))
         return ValidationReport("left comodule", tuple(checks))
@@ -238,6 +228,9 @@ class ComoduleAlgebra:
         object.__setattr__(self, "augmentation", tuple(x % p for x in self.augmentation))
         if self.sigma_action is not None and len(self.sigma_action) != len(self.grouplikes):
             raise ShapeError("need exactly one sigma action matrix per grouplike")
+        s = self.base.over.dim
+        if any((a.p, a.nrows, a.ncols) != (p, s, s) for a in self.sigma_action or ()):
+            raise ShapeError("sigma action matrices must be square of the coalgebra dimension")
 
     @property
     def p(self) -> int:
@@ -275,20 +268,11 @@ class ComoduleMap:
 
     def residual(self) -> list[dict[int, int]]:
         """psi_target . f - (f (x) id) . psi_source as sparse columns, one per
-        source basis vector, with n_a (x) sigma_k at row a * sigma_dim + k.
-
-        Computed from the coaction triples and the columns of f; every
-        column is empty iff f is a comodule map.
-        """
-        p, s = self.source.p, self.source.over.dim
-        out = []
-        for col, fcol in zip(self.source.coaction_along(self.matrix), self.matrix.sparse_cols()):
-            res = {key: -v for key, v in col.items()}
-            for r, x in fcol.items():
-                for a, k, c in self.target.psi[r]:
-                    res[a * s + k] = res.get(a * s + k, 0) + x * c
-            out.append({key: y for key, v in res.items() if (y := v % p)})
-        return out
+        source basis vector, with n_a (x) sigma_k at row a * sigma_dim + k;
+        every column is empty iff f is a comodule map."""
+        return _coaction_residual(
+            self.source.p, self.source.over.dim, self.source.psi, self.matrix.sparse_cols(), self.target.psi
+        )
 
     def is_comodule_map(self) -> bool:
         return not any(self.residual())
@@ -302,7 +286,8 @@ def validate_comodule(m: Comodule) -> ValidationReport:
     checks = []
     for name, witness in (
         ("counit", _counit_witness(m.labels, m.psi, m.over.counit, m.p, keep_slot=0)),
-        ("coassociativity", _coassociativity_witness(m.labels, m.psi, m.psi, m.over.delta, m.p)),
+        # psi is a comodule map from (M, psi) into the cofree M (x) Sigma.
+        ("coassociativity", _cofree_witness(m.labels, m.psi, _as_cols(m.psi, m.over.dim), m.over.delta, m.p)),
     ):
         checks.append(CheckResult(name, witness is None, witness))
     return ValidationReport("comodule", tuple(checks))
@@ -322,13 +307,8 @@ def _product_apply(table: ProductTable, p: int, dim: int, u: Vector, v: Vector) 
 
 
 def _left_mult_matrix(table: ProductTable, p: int, dim: int, u: Vector) -> FieldMatrix:
-    cols = []
-    ident = [0] * dim
-    for j in range(dim):
-        ident[j] = 1
-        cols.append(_product_apply(table, p, dim, u, ident))
-        ident[j] = 0
-    return FieldMatrix.from_cols(p, cols, nrows=dim)
+    basis = FieldMatrix.identity(p, dim).rows_as_lists()
+    return FieldMatrix.from_cols(p, [_product_apply(table, p, dim, u, e) for e in basis], nrows=dim)
 
 
 def validate_comodule_algebra(ma: ComoduleAlgebra) -> ValidationReport:
@@ -382,12 +362,12 @@ def validate_comodule_algebra(ma: ComoduleAlgebra) -> ValidationReport:
     if ma.sigma_action is not None:
         # With left multiplication on the over-coalgebra known, the
         # multiplicativity identity and the true group table are checkable.
-        psi_m = ma.base.psi_matrix()
+        s = ma.sigma.dim
         witness = None
-        for idx in range(len(ma.grouplikes)):
-            lhs = psi_m @ ma.action[idx]
-            rhs = ma.action[idx].kron(ma.sigma_action[idx]) @ psi_m
-            if lhs != rhs:
+        for idx, a in enumerate(ma.action):
+            lam = ma.sigma_action[idx].sparse_cols()
+            twisted = [tuple((b, u, c * x) for b, k, c in t for u, x in lam[k].items()) for t in ma.base.psi]
+            if any(_coaction_residual(p, s, twisted, a.sparse_cols(), ma.base.psi)):
                 witness = f"grouplike {idx}"
                 break
         checks.append(CheckResult("coaction_multiplicative", witness is None, witness))
@@ -406,28 +386,16 @@ def validate_comodule_algebra(ma: ComoduleAlgebra) -> ValidationReport:
     else:
         # Without it, require closure; the induced table is only well defined
         # when the action is faithful, in which case it must be a group table.
-        witness = None
-        table: list[list[int | None]] = []
-        for i in range(len(ma.action)):
-            row: list[int | None] = []
-            for j in range(len(ma.action)):
-                comp = ma.action[i] @ ma.action[j]
-                found = None
-                for k, a in enumerate(ma.action):
-                    if a == comp:
-                        found = k
-                        break
-                row.append(found)
-                if found is None and witness is None:
-                    witness = f"grouplikes ({i}, {j})"
-            table.append(row)
+        acts = ma.action
+        table = [[acts.index(c) if (c := a @ b) in acts else None for b in acts] for a in acts]
+        witness = next(
+            (f"grouplikes ({i}, {j})" for i, row in enumerate(table) for j, k in enumerate(row) if k is None),
+            None,
+        )
         checks.append(CheckResult("action_closed_under_composition", witness is None, witness))
-        faithful = len(set(ma.action)) == len(ma.action)
-        if witness is None and faithful:
-            n_g = len(ma.action)
-            latin = all(
-                sorted(row) == list(range(n_g)) for row in table
-            ) and all(sorted(table[i][j] for i in range(n_g)) == list(range(n_g)) for j in range(n_g))
+        if witness is None and len(set(acts)) == len(acts):
+            # every row and every column of the table is a permutation
+            latin = all(sorted(line) == list(range(len(acts))) for line in [*table, *zip(*table)])
             checks.append(CheckResult("action_table_is_group", latin))
 
     if w_idx is not None:
@@ -467,17 +435,16 @@ def validate_comodule_algebra(ma: ComoduleAlgebra) -> ValidationReport:
             witness = None
             for i in range(m):
                 for j in range(m):
-                    lhs: dict[tuple[int, int], int] = {}
+                    acc: dict[tuple[int, int], int] = {}
                     for k, coeff in ma.product[i][j]:
                         for a, t, cf in psi[k]:
-                            _add_mod(lhs, (a, t), coeff * cf, p)
-                    rhs: dict[tuple[int, int], int] = {}
+                            acc[a, t] = acc.get((a, t), 0) + coeff * cf
                     for a, t, cf in psi[i]:
                         for b, u, cf2 in psi[j]:
                             for mm, cm in ma.product[a][b]:
                                 for ss, cs in sprod[t][u]:
-                                    _add_mod(rhs, (mm, ss), cf * cf2 * cm * cs, p)
-                    if lhs != rhs:
+                                    acc[mm, ss] = acc.get((mm, ss), 0) - cf * cf2 * cm * cs
+                    if any(x % p for x in acc.values()):
                         witness = f"({ma.base.labels[i]}, {ma.base.labels[j]})"
                         break
                 if witness:
@@ -515,15 +482,11 @@ def comodule_primitives_at(m: Comodule, g: Vector) -> Subspace:
         return known
     if not is_grouplike(m.over, g):
         raise NotGrouplike(f"{list(g)} is not grouplike")
-    s = m.over.dim
+    # P_g(M) is where the identity maps the coaction v -> v (x) g to psi.
     support = [(k, x) for k, x in enumerate(gv) if x]
-    cols = []
-    for i, triples in enumerate(m.psi):
-        col = {a * s + k: c for a, k, c in triples}
-        for k, x in support:
-            _add_mod(col, i * s + k, -x, p)
-        cols.append(col)
-    pg = kernel_from_sparse_cols(p, m.dim, cols)
+    line = [tuple((i, k, x) for k, x in support) for i in range(m.dim)]
+    ident = [{i: 1} for i in range(m.dim)]
+    pg = kernel_from_sparse_cols(p, m.dim, _coaction_residual(p, m.over.dim, line, ident, m.psi))
     m._primitives[gv] = pg
     return pg
 
@@ -576,9 +539,9 @@ def cotensor(m: Comodule, n: LeftComodule) -> Subspace:
         for j in range(nn):
             col: dict[int, int] = {}
             for a, k, cf in m.psi[i]:
-                _add_mod(col, (a * s + k) * nn + j, cf, p)
+                col[(a * s + k) * nn + j] = col.get((a * s + k) * nn + j, 0) + cf
             for k, b, cf in n.psi[j]:
-                _add_mod(col, (i * s + k) * nn + b, -cf, p)
+                col[(i * s + k) * nn + b] = col.get((i * s + k) * nn + b, 0) - cf
             cols.append(col)
     return kernel_from_sparse_cols(p, m.dim * nn, cols)
 

@@ -134,15 +134,6 @@ def _frozen(rows: tuple) -> tuple:
     return tuple(r if isinstance(r, int) else frozenset(r.items()) for r in rows)
 
 
-def _add_mod(acc: dict, key, value: int, p: int) -> None:
-    """acc[key] += value mod p, dropping the key when the sum is zero."""
-    v = (acc.get(key, 0) + value) % p
-    if v:
-        acc[key] = v
-    else:
-        acc.pop(key, None)
-
-
 def _add_multiple(p: int, v: dict, f: int, row: dict) -> None:
     """v += f * row in place over odd p, dropping entries that become zero.
 

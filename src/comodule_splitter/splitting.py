@@ -31,7 +31,10 @@ Instead of replaying the filtration induction that proves h bijective, the
 engine certifies the outcome directly: the rank of h must equal
 dim M = dim P_1(M) * dim Sigma, and h must be a comodule map into the
 cofree comodule P_1(M) (x) Sigma, that is, the residual
-(id (x) Delta) h - (h (x) id) psi must vanish.  A nonzero residual is
+(id (x) Delta) h - (h (x) id) psi must vanish.  That residual is
+``coalgebra._coaction_residual``, the one routine behind every "does this
+map intertwine two coactions" check of the package, with the cofree
+coaction read off Delta's triples in place.  A nonzero residual is
 reported by the basis label of the first column of M where it shows.
 """
 
@@ -40,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from .coalgebra import _cofree_witness
 from .comodule import (
     ComoduleAlgebra,
     ComoduleMap,
@@ -148,29 +152,13 @@ def _assemble_h(ma: ComoduleAlgebra, p1: Subspace) -> FieldMatrix:
     return FieldMatrix.from_sparse_cols(p, d1 * ma.sigma.dim, ma.base.coaction_along(t))
 
 
-def _residual_witness(ma: ComoduleAlgebra, h: FieldMatrix, d1: int) -> str | None:
+def _residual_witness(ma: ComoduleAlgebra, h: FieldMatrix) -> str | None:
     """A witness naming the basis label of M at the first nonzero column of
     (id_{P_1} (x) Delta) h - (h (x) id_Sigma) psi, or None when h is a map of
-    comodules into the cofree comodule P_1(M) (x) Sigma.
-
-    v_u (x) sigma_k sits at row r = u * sigma_dim + k of h, and the term
-    c * v_u (x) sigma_j (x) sigma_l of its image under id (x) Delta at
-    (u * sigma_dim + j) * sigma_dim + l, read off the triples (j, l, c) of
-    Delta(sigma_k)."""
-    if d1 == 0:
-        return None
-    p, s, delta = ma.p, ma.sigma.dim, ma.sigma.delta
-    for i, (along, hcol) in enumerate(zip(ma.base.coaction_along(h), h.sparse_cols())):
-        lhs: dict[int, int] = {}
-        for r, x in hcol.items():
-            k = r % s
-            base = (r - k) * s
-            for j, l, c in delta[k]:
-                key = base + j * s + l
-                lhs[key] = lhs.get(key, 0) + x * c
-        if {key: y for key, v in lhs.items() if (y := v % p)} != along:
-            return f"first nonzero residual column {ma.base.labels[i]}"
-    return None
+    comodules into the cofree comodule P_1(M) (x) Sigma; v_u (x) sigma_k
+    sits at row u * sigma_dim + k of h."""
+    label = _cofree_witness(ma.base.labels, ma.base.psi, h.sparse_cols(), ma.sigma.delta, ma.p)
+    return None if label is None else f"first nonzero residual column {label}"
 
 
 def _bijectivity_witness(ma: ComoduleAlgebra, h: FieldMatrix, rank: int) -> str:
@@ -213,7 +201,7 @@ def build_h(
         h_matrix=h,
         p1_basis=p1,
         rank=h.rank(),
-        comodule_residual_zero=_residual_witness(ma, h, p1.dim) is None,
+        comodule_residual_zero=_residual_witness(ma, h) is None,
         star_report=star,
     )
 
@@ -277,7 +265,7 @@ def recheck_certificate(
     )
     checks.append(CheckResult("stored_rank_matches", rank == cert.rank))
 
-    witness = _residual_witness(ma, cert.h_matrix, p1.dim) if shape_ok else None
+    witness = _residual_witness(ma, cert.h_matrix) if shape_ok else None
     residual_zero = shape_ok and witness is None
     checks.append(CheckResult("comodule_residual_zero", residual_zero, witness))
     checks.append(

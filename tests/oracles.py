@@ -26,6 +26,13 @@ per triple.
 into it, the route the splitting's residual witness took before it read
 Delta's triples directly.
 
+``psi_matrix`` is a comodule's coaction as a dense-indexed matrix.
+``coassociativity_witness`` is the literal triple loop that the
+coassociativity checks of coalgebras, comodules and left comodules used to
+run, and ``multiplicative_witness`` the dense check psi a = (a (x) lambda)
+psi through a Kronecker product; the validators now ask both questions
+through the one residual routine.
+
 ``greedy_retraction`` is the retraction onto a subspace by its definition,
 and ``h_by_phi_solve`` assembles h the way the library used to: phi solved
 against the echelon basis of P(M), composed with that retraction and a
@@ -55,7 +62,6 @@ from comodule_splitter.field_linalg import (
     FieldMatrix,
     Subspace,
     Vector,
-    _add_mod,
     _echelon,
     _join,
     _pack,
@@ -63,6 +69,54 @@ from comodule_splitter.field_linalg import (
     image,
     kernel_from_sparse_cols,
 )
+
+
+def _add_mod(acc: dict, key, value: int, p: int) -> None:
+    """acc[key] += value mod p, dropping the key when the sum is zero."""
+    v = (acc.get(key, 0) + value) % p
+    if v:
+        acc[key] = v
+    else:
+        acc.pop(key, None)
+
+
+def psi_matrix(m: Comodule) -> FieldMatrix:
+    """The coaction as a (dim * sigma_dim) x dim matrix; m_a (x) sigma_k
+    sits at row a * sigma_dim + k."""
+    s = m.over.dim
+    cols = [{a * s + k: c for a, k, c in t} for t in m.psi]
+    return FieldMatrix.from_sparse_cols(m.p, m.dim * s, cols)
+
+
+def coassociativity_witness(labels, outer, left, right, p: int) -> str | None:
+    """The label of the first e_i with (left (x) id) outer(e_i) !=
+    (id (x) right) outer(e_i), or None.  Each map is given by its triples
+    (x, y, c) per basis element: left acts on the first slot of outer,
+    right on the second.  For a coalgebra all three are Delta; for a right
+    comodule outer = left = psi and right = Delta; for a left comodule
+    outer = right = psi and left = Delta."""
+    for i, triples in enumerate(outer):
+        lhs: dict[tuple[int, int, int], int] = {}
+        rhs: dict[tuple[int, int, int], int] = {}
+        for x, y, c in triples:
+            for u, v, c2 in left[x]:
+                _add_mod(lhs, (u, v, y), c * c2, p)
+            for u, v, c2 in right[y]:
+                _add_mod(rhs, (x, u, v), c * c2, p)
+        if lhs != rhs:
+            return labels[i]
+    return None
+
+
+def multiplicative_witness(ma: ComoduleAlgebra) -> str | None:
+    """The witness "grouplike idx" for the first idx with psi a !=
+    (a (x) lambda) psi over dense matrices, a the action on M and lambda the
+    left multiplication on Sigma of that grouplike, or None."""
+    psi_m = psi_matrix(ma.base)
+    for idx, (a, lam) in enumerate(zip(ma.action, ma.sigma_action)):
+        if psi_m @ a != a.kron(lam) @ psi_m:
+            return f"grouplike {idx}"
+    return None
 
 
 def internal(p: int, row):

@@ -40,7 +40,7 @@ from comodule_splitter.generators import (
     gen_random_pointed,
     gen_sigma_truncation,
 )
-from oracles import StaircaseMembership, intersect, preimage, tensor
+from oracles import StaircaseMembership, intersect, preimage, psi_matrix, tensor
 
 THEOREM_PAIRS = (
     "sigma_level0_id",
@@ -208,7 +208,7 @@ def test_criterion_4_lemma_suite(capsys, corpus):
 
             mfilt = comodule_filtration(m, filt)
             full_m = Subspace.full(m.p, m.dim)
-            psi_m = m.psi_matrix()
+            psi_m = psi_matrix(m)
             for k in range(len(mfilt.levels)):
                 stair = StaircaseMembership(
                     [(full_m, filt.level(k - 1)), (total, filt.level(k))]

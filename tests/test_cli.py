@@ -11,9 +11,11 @@ The exit-code contract under test:
 """
 
 import hashlib
+import io
 import json
 import os
 import shutil
+import sys
 from collections import Counter
 
 import pytest
@@ -750,6 +752,37 @@ def test_corpus_runs_every_bundle(capsys, corpus_dir):
     assert names == sorted(names)
     assert any("rank 48" in line for line in lines)
     assert any("hypothesis_not_met" in line for line in lines)
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away: every write raises."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_closed_stdout_keeps_each_verdict(capsys, monkeypatch, corpus_dir, tmp_path):
+    """A command that finished returns its own exit code when nobody reads
+    its output, and writes nothing to stderr: certify on a valid (0) and a
+    tampered (1) certificate, star on the control (4), and corpus, which
+    prints one line per bundle (0)."""
+    files = _bundle_files(corpus_dir, "binomial_2_4_id")
+    control = _bundle_files(corpus_dir, "control_zero_map")
+    cert = tmp_path / "cert.json"
+    assert _run(capsys, "split", files["comodule"], files["map"], "--out", str(cert))[0] == 0
+    doc = json.loads(cert.read_text())
+    doc["h"][0][1] ^= 1
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(doc))
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    for argv, expected in (
+        (["certify", str(cert), files["comodule"], files["map"]], 0),
+        (["certify", str(tampered), files["comodule"], files["map"]], 1),
+        (["star", control["comodule"], control["map"]], 4),
+        (["corpus", "--dir", str(corpus_dir)], 0),
+    ):
+        assert main(argv) == expected, argv
+        assert capsys.readouterr().err == "", argv
 
 
 def _count_reads(monkeypatch) -> Counter:

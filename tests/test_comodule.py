@@ -7,6 +7,7 @@ regular comodule against the coalgebra-side filtration computed by two other
 algorithms.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from comodule_splitter.coalgebra import (
     coradical_filtration_direct,
     coradical_filtration_wedge,
     find_grouplikes,
+    validate_coalgebra,
 )
 from comodule_splitter.comodule import (
     Comodule,
@@ -58,10 +60,13 @@ from comodule_splitter.generators import (
 from oracles import (
     StaircaseMembership,
     check_map_preserves_filtration,
+    coassociativity_witness,
     cofree,
     intersect,
+    multiplicative_witness,
     preimage,
     primitives_cotensor_embedding,
+    psi_matrix,
     staircase_preimage,
     spread_rewrite,
     staircase_sum,
@@ -197,6 +202,114 @@ def test_unit_grouplike_index_none_when_unit_is_not_coinvariant():
     assert _replace(ma, unit=tuple(bad_unit)).unit_grouplike_index() is None
 
 
+# -- the one residual routine against the literal oracles ----------------------------
+
+
+def _bump_triples(rng, p, rows, first_dim, second_dim):
+    """The structure constants with one entry moved by a nonzero amount."""
+    rows = list(rows)
+    i = rng.randrange(len(rows))
+    rows[i] = rows[i] + ((rng.randrange(first_dim), rng.randrange(second_dim), rng.randrange(1, p)),)
+    return tuple(rows)
+
+
+def _bump_matrix(rng, a):
+    rows = a.rows_as_lists()
+    rows[rng.randrange(a.nrows)][rng.randrange(a.ncols)] += rng.randrange(1, a.p)
+    return FieldMatrix(a.p, rows, ncols=a.ncols)
+
+
+def _check(report, name):
+    (check,) = [c for c in report.checks if c.name == name]
+    assert check.passed == (check.witness is None)
+    return check.witness
+
+
+def _residual_cases(corpus, base_seed):
+    return (
+        list(corpus)
+        + [gen_binomial_truncation(3, d) for d in (9, 27)]
+        + [gen_random_pointed(base_seed + offset) for offset in range(6)]
+    )
+
+
+def test_coassociativity_verdicts_match_the_literal_loops(corpus, base_seed):
+    """Coassociativity of Delta, of psi and of left comodules, read off the
+    one residual routine, names the same label as the literal triple loops,
+    on honest structure constants and on single-entry edits of them: the
+    corpus, binomial_3_* and random pointed coalgebras over F_2 and F_3."""
+    rng = random.Random(base_seed)
+    failed = 0
+    for b in _residual_cases(corpus, base_seed):
+        sigma, g = b.coalgebra, b.grouplikes
+        p, s = sigma.p, sigma.dim
+        for c in [sigma] + [dataclasses.replace(sigma, delta=_bump_triples(rng, p, sigma.delta, s, s))
+                            for _ in range(4)]:
+            witness = _check(validate_coalgebra(c), "coassociativity")
+            assert witness == coassociativity_witness(c.labels, c.delta, c.delta, c.delta, p), b.name
+            failed += witness is not None
+        comodules = [Comodule.regular(sigma), cofree(sigma, 2)]
+        if b.comodule_algebra is not None:
+            comodules.append(b.comodule_algebra.base)
+        for m in comodules:
+            for m2 in [m] + [dataclasses.replace(m, psi=_bump_triples(rng, p, m.psi, m.dim, s))
+                             for _ in range(3)]:
+                witness = _check(validate_comodule(m2), "coassociativity")
+                assert witness == coassociativity_witness(m2.labels, m2.psi, m2.psi, sigma.delta, p), b.name
+                failed += witness is not None
+        lefts = [LeftComodule.regular(sigma), LeftComodule.coradical(sigma, g),
+                 LeftComodule.grouplike_line(sigma, g.vectors[-1])]
+        for n in lefts:
+            for n2 in [n] + [dataclasses.replace(n, psi=_bump_triples(rng, p, n.psi, s, n.dim))
+                             for _ in range(3)]:
+                witness = _check(n2.validate(), "coassociativity")
+                assert witness == coassociativity_witness(n2.labels, n2.psi, sigma.delta, n2.psi, p), b.name
+                failed += witness is not None
+    assert failed >= 100
+
+
+def test_multiplicativity_verdicts_match_the_dense_check(corpus, base_seed):
+    """coaction_multiplicative, read off the one residual routine, names the
+    same grouplike as psi a = (a (x) lambda) psi over dense matrices, for
+    every comodule algebra with a known lambda and for single-entry edits
+    of lambda_g and of a_g.  Some lambda_g edits leave every other check
+    passing."""
+    rng = random.Random(base_seed)
+    failed = alone = 0
+    for b in _residual_cases(corpus, base_seed):
+        ma = b.comodule_algebra
+        if ma is None:
+            continue
+        # the product table checks are slow at this size and ignore lambda and a
+        ma = _replace(ma, product=None)
+        cases = [ma]
+        for _ in range(3):
+            idx = rng.randrange(len(ma.action))
+            lam, act = list(ma.sigma_action), list(ma.action)
+            lam[idx], act[idx] = _bump_matrix(rng, lam[idx]), _bump_matrix(rng, act[idx])
+            cases += [_replace(ma, sigma_action=tuple(lam)), _replace(ma, action=tuple(act))]
+        for case in cases:
+            report = validate_comodule_algebra(case)
+            witness = _check(report, "coaction_multiplicative")
+            assert witness == multiplicative_witness(case), b.name
+            failed += witness is not None
+            alone += [c.name for c in report.failures()] == ["coaction_multiplicative"]
+    assert failed >= 10 and alone >= 1
+
+
+def test_multiplicativity_can_fail_alone():
+    """Over binomial_3_9 the one grouplike is 1 and lambda_1 the identity.
+    Moving lambda_1 off the identity at a column outside the grouplike's
+    support breaks psi a = (a (x) lambda) psi and nothing else."""
+    ma = gen_binomial_truncation(3, 9).comodule_algebra
+    rows = ma.sigma_action[0].rows_as_lists()
+    rows[0][1] = 1
+    broken = _replace(ma, sigma_action=(FieldMatrix(3, rows),))
+    assert [c.name for c in validate_comodule_algebra(broken).failures()] == ["coaction_multiplicative"]
+    assert _check(validate_comodule_algebra(broken), "coaction_multiplicative") == "grouplike 0"
+    assert multiplicative_witness(broken) == "grouplike 0"
+
+
 # -- comodule maps ---------------------------------------------------------------------
 
 
@@ -305,7 +418,7 @@ def _cotensor_dense_oracle(m: Comodule, n: LeftComodule) -> Subspace:
     s = m.over.dim
     i_m = FieldMatrix.identity(p, m.dim)
     i_n = FieldMatrix.identity(p, n.dim)
-    left = m.psi_matrix().kron(i_n)
+    left = psi_matrix(m).kron(i_n)
     psi_n_cols = []
     for j in range(n.dim):
         col = [0] * (s * n.dim)
@@ -333,7 +446,7 @@ def test_cotensor_with_sigma_recovers_m():
         box = cotensor(m, LeftComodule.regular(m.over))
         assert box.dim == m.dim
         # psi itself is the isomorphism onto the cotensor
-        psi = m.psi_matrix()
+        psi = psi_matrix(m)
         assert psi.rank() == m.dim
         for j in range(m.dim):
             assert box.contains(psi.col(j))
@@ -388,7 +501,7 @@ def test_psi_of_filtration_in_primitive_staircase(corpus):
         mfilt = comodule_filtration(m, sigma_filt)
         p_total, _ = comodule_primitives_total(m, ma.grouplikes)
         full = Subspace.full(m.p, m.dim)
-        psi = m.psi_matrix()
+        psi = psi_matrix(m)
         for k in range(mfilt.top + 1):
             checker = StaircaseMembership(
                 [(full, sigma_filt.level(k - 1)), (p_total, sigma_filt.level(k))]
@@ -435,7 +548,7 @@ def test_staircase_preimages_match_the_literal_route(corpus, base_seed):
     assert {ma.p for ma in cases} == {2, 3}
     for ma in cases:
         p, m, sigma = ma.p, ma.base, ma.sigma
-        psi, delta = m.psi_matrix(), sigma.delta_matrix()
+        psi, delta = psi_matrix(m), sigma.delta_matrix()
         full_m, full_s = Subspace.full(p, m.dim), Subspace.full(p, sigma.dim)
         filt = coradical_filtration_wedge(sigma, ma.grouplikes)
         f0 = filt.level(0)

@@ -40,7 +40,13 @@ from comodule_splitter.generators import (
     shipped_corpus,
 )
 from comodule_splitter.splitting import _residual_witness, _trailing_pivots
-from oracles import cofree, greedy_retraction, h_by_phi_solve, residual_witness_by_cofree
+from oracles import (
+    cofree,
+    greedy_retraction,
+    h_by_phi_solve,
+    psi_matrix,
+    residual_witness_by_cofree,
+)
 
 EXPECTED_RANKS = {
     "binomial_2_4_id": 4,
@@ -149,7 +155,7 @@ def _conjugate(ma, f, t):
     matrix t, so that h stops being the identity in coordinates."""
     p, m, s = ma.p, ma.dim, ma.sigma.dim
     t_inv = t.inverse()
-    psi_new = t_inv.kron(FieldMatrix.identity(p, s)) @ ma.base.psi_matrix() @ t
+    psi_new = t_inv.kron(FieldMatrix.identity(p, s)) @ psi_matrix(ma.base) @ t
     triples = []
     for i in range(m):
         col = [psi_new.entry(r, i) for r in range(m * s)]
@@ -481,10 +487,12 @@ def test_residual_witness_matches_the_cofree_route(corpus, base_seed):
         random_h = FieldMatrix(ma.p, [[rng.randrange(ma.p) for _ in range(h.ncols)] for _ in range(h.nrows)])
         bumped = [_tamper(h, rng.randrange(h.nrows), rng.randrange(h.ncols)) for _ in range(4)]
         for k in [h, random_h, *bumped]:
-            witness = _residual_witness(ma, k, d1)
+            witness = _residual_witness(ma, k)
             assert witness == residual_witness_by_cofree(ma, k, d1), b.name
             named += witness is not None
-        assert _residual_witness(ma, h, d1) is None
+        assert _residual_witness(ma, h) is None
+        # P_1(M) = 0 leaves nothing to check
+        assert _residual_witness(ma, FieldMatrix.zeros(ma.p, 0, ma.dim)) is None
     assert named >= len(bundles) * 3
 
 
