@@ -23,7 +23,7 @@ import itertools
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     CapExceeded,
@@ -81,23 +81,22 @@ def _normalize_triples(
 
 
 def _coaction_residual(
-    p: int, width: int, source: Sequence[Triples], fcols: Sequence[dict[int, int]],
+    width: int, source: Sequence[Triples], fcols: Sequence[dict[int, int]],
     target: Sequence[Triples] | None = None,
-) -> list[dict[int, int]]:
-    """beta . f - (f (x) id) . alpha as sparse columns, one per source basis
-    vector, each summed in integers and reduced mod p once; all are empty
-    iff f intertwines the two coactions.  ``source[i]`` holds the triples
-    (b, k, c) of alpha(e_i) = sum c * e_b (x) sigma_k, ``fcols[b]`` is f(e_b)
-    as a dict row -> coeff, and ``target[t]`` the triples (a, k, c) of
-    beta(n_t); n_a (x) sigma_k sits at a * width + k.  A row u * n + t of f,
-    n = len(target), is e_u (x) n_t in F^d (x) N with the coaction
-    id (x) beta: beta itself for d = 1, and for beta = Delta the cofree
-    comodule F^d (x) Sigma, read off Delta in place.  Without a target the
-    columns are (f (x) id) . alpha alone."""
+) -> Iterator[dict[int, int]]:
+    """beta . f - (f (x) id) . alpha as sparse columns of integer sums, one per
+    source basis vector, yielded in order; each consumer reduces them mod p
+    once, and all reduce to zero iff f intertwines the two coactions.
+    ``source[i]`` holds the triples (b, k, c) of alpha(e_i) = sum c * e_b (x)
+    sigma_k, ``fcols[b]`` is f(e_b) as a dict row -> coeff, and ``target[t]``
+    the triples (a, k, c) of beta(n_t); n_a (x) sigma_k sits at a * width + k.
+    A row u * n + t of f, n = len(target), is e_u (x) n_t in F^d (x) N with
+    the coaction id (x) beta: beta itself for d = 1, and for beta = Delta
+    the cofree comodule F^d (x) Sigma, read off Delta in place.  Without a
+    target the columns are (f (x) id) . alpha alone."""
     sign = 1 if target is None else -1
     along = [[(r * width, sign * x) for r, x in col.items()] for col in fcols]
     n = len(target) if target else 0
-    out = []
     for i, triples in enumerate(source):
         acc: dict[int, int] = {}
         for b, k, c in triples:
@@ -109,8 +108,7 @@ def _coaction_residual(
             for a, k, c in target[t]:
                 key = base + a * width + k
                 acc[key] = acc.get(key, 0) + x * c
-        out.append({key: y for key, v in acc.items() if (y := v % p)})
-    return out
+        yield acc
 
 
 def _cofree_witness(
@@ -120,15 +118,16 @@ def _cofree_witness(
     """The label of the first source basis vector at which f is not a map
     of comodules into the cofree comodule F^d (x) Sigma, coaction id (x)
     Delta, or None; row u * dim Sigma + k of f is e_u (x) sigma_k."""
-    residual = _coaction_residual(p, len(delta), source, fcols, delta)
-    return next((labels[i] for i, col in enumerate(residual) if col), None)
+    residual = _coaction_residual(len(delta), source, fcols, delta)
+    return next((labels[i] for i, col in enumerate(residual) if any(x % p for x in col.values())), None)
 
 
 def _coacts_as(triples: Sequence[Triples], v: Vector, g: Vector, p: int) -> bool:
     """Do the triples (the map e_i -> sum c * e_j (x) e_k) send v to v (x) g,
     that is, is e -> v a map into them from the line comodule e -> e (x) g?"""
     line = [tuple((0, k, y) for k, y in enumerate(g) if y)]
-    return not _coaction_residual(p, len(g), line, [{i: x for i, x in enumerate(v) if x}], triples)[0]
+    cols = _coaction_residual(len(g), line, [{i: x for i, x in enumerate(v) if x}], triples)
+    return not any(x % p for col in cols for x in col.values())
 
 
 def _counit_witness(
@@ -496,7 +495,7 @@ def primitives_at(c: Coalgebra, g: Vector) -> Subspace:
     p, n = c.p, c.dim
     support = [(k, x) for k, x in enumerate(g) if x % p]
     both = [tuple((i, k, x) for k, x in support) + tuple((k, i, x) for k, x in support) for i in range(n)]
-    return kernel_from_sparse_cols(p, n, _coaction_residual(p, n, both, [{i: 1} for i in range(n)], c.delta))
+    return kernel_from_sparse_cols(p, n, _coaction_residual(n, both, [{i: 1} for i in range(n)], c.delta))
 
 
 def f1_decomposition(c: Coalgebra, g: GroupLikeSet) -> F1DecompositionReport:

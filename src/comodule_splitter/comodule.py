@@ -111,9 +111,9 @@ class Comodule:
         return {}
 
     def coaction_along(self, a: FieldMatrix) -> list[dict[int, int]]:
-        """(a (x) id_Sigma) . psi as sparse columns, without building a
-        Kronecker product; e_r (x) sigma_k sits at row r * sigma_dim + k."""
-        return _coaction_residual(self.p, self.over.dim, self.psi, a.sparse_cols())
+        """(a (x) id_Sigma) . psi as sparse columns of integer sums, reduced by
+        FieldMatrix.from_sparse_cols; e_r (x) sigma_k sits at row r * sigma_dim + k."""
+        return list(_coaction_residual(self.over.dim, self.psi, a.sparse_cols()))
 
     @classmethod
     def regular(cls, sigma: Coalgebra) -> "Comodule":
@@ -270,9 +270,9 @@ class ComoduleMap:
         """psi_target . f - (f (x) id) . psi_source as sparse columns, one per
         source basis vector, with n_a (x) sigma_k at row a * sigma_dim + k;
         every column is empty iff f is a comodule map."""
-        return _coaction_residual(
-            self.source.p, self.source.over.dim, self.source.psi, self.matrix.sparse_cols(), self.target.psi
-        )
+        src = self.source
+        cols = _coaction_residual(src.over.dim, src.psi, self.matrix.sparse_cols(), self.target.psi)
+        return [{key: y for key, v in col.items() if (y := v % src.p)} for col in cols]
 
     def is_comodule_map(self) -> bool:
         return not any(self.residual())
@@ -367,7 +367,8 @@ def validate_comodule_algebra(ma: ComoduleAlgebra) -> ValidationReport:
         for idx, a in enumerate(ma.action):
             lam = ma.sigma_action[idx].sparse_cols()
             twisted = [tuple((b, u, c * x) for b, k, c in t for u, x in lam[k].items()) for t in ma.base.psi]
-            if any(_coaction_residual(p, s, twisted, a.sparse_cols(), ma.base.psi)):
+            cols = _coaction_residual(s, twisted, a.sparse_cols(), ma.base.psi)
+            if any(x % p for col in cols for x in col.values()):
                 witness = f"grouplike {idx}"
                 break
         checks.append(CheckResult("coaction_multiplicative", witness is None, witness))
@@ -486,7 +487,7 @@ def comodule_primitives_at(m: Comodule, g: Vector) -> Subspace:
     support = [(k, x) for k, x in enumerate(gv) if x]
     line = [tuple((i, k, x) for k, x in support) for i in range(m.dim)]
     ident = [{i: 1} for i in range(m.dim)]
-    pg = kernel_from_sparse_cols(p, m.dim, _coaction_residual(p, m.over.dim, line, ident, m.psi))
+    pg = kernel_from_sparse_cols(p, m.dim, _coaction_residual(m.over.dim, line, ident, m.psi))
     m._primitives[gv] = pg
     return pg
 
