@@ -17,8 +17,8 @@ even though Python counts bool as a subclass of int.
 Paths inside documents resolve relative to the document that mentions them.
 Loaders raise ParseError for anything structurally wrong; mathematical
 problems (a declared grouplike that is not one, say) surface later through
-the validators, not here.  Writers emit every label explicitly and leave
-ordering to the JSON serializer, so a write/load round trip reproduces the
+the validators, not here.  Writers emit every label explicitly and the one
+file writer sorts object keys, so a write/load round trip reproduces the
 in-memory object exactly, minus the fields files do not carry (product
 tables and sigma-side action matrices).
 
@@ -64,7 +64,9 @@ def _load_json(path: str) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad JSON, bytes that are not UTF-8 and int
+        # literals over Python's digit limit; RecursionError, deep nesting.
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
@@ -116,9 +118,50 @@ def _once_per_command(load):
 
 
 def _dump_json(doc: dict, path: str) -> None:
+    """Write doc as json.dump(doc, fh, sort_keys=True, indent=1) and a
+    newline would, byte for byte, but with each array of scalars encoded in
+    one call of the C encoder."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
+        _write_json(fh, doc, 0)
         fh.write("\n")
+
+
+@functools.cache
+def _flat_items(depth: int):
+    """Encoder of an array of scalars whose items sit at depth, with the
+    separator json.dump(indent=1) puts between them."""
+    return json.JSONEncoder(separators=(",\n" + " " * depth, ": ")).encode
+
+
+# Scalar types, matched exactly: an array of these is handed to the C encoder
+# whole, and anything else (a subclass too) is written item by item.
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _write_json(fh, obj, depth: int, head: str = "") -> None:
+    """Write head, then obj as json.dump(obj, fh, sort_keys=True, indent=1)
+    writes it at depth."""
+    inner, end = "\n" + " " * (depth + 1), "\n" + " " * depth
+    if not isinstance(obj, (dict, list, tuple)):
+        fh.write(head + json.dumps(obj))
+    elif not obj:
+        fh.write(head + ("{}" if isinstance(obj, dict) else "[]"))
+    elif isinstance(obj, dict):
+        sep = head + "{" + inner
+        for key in sorted(obj):
+            if not isinstance(key, str):  # json.dumps would leave it unquoted
+                raise TypeError(f"definition keys must be str, not {type(key).__name__}")
+            _write_json(fh, obj[key], depth + 1, sep + json.dumps(key) + ": ")
+            sep = "," + inner
+        fh.write(end + "}")
+    elif set(map(type, obj)) <= _SCALARS:
+        fh.write(head + "[" + inner + _flat_items(depth + 1)(obj)[1:-1] + end + "]")
+    else:
+        sep = head + "[" + inner
+        for item in obj:
+            _write_json(fh, item, depth + 1, sep)
+            sep = "," + inner
+        fh.write(end + "]")
 
 
 def _require(doc: dict, key: str, path: str):

@@ -140,6 +140,35 @@ def test_parse_and_usage_errors_exit_2(capsys, tmp_path, corpus_dir):
         bad.unlink()
 
 
+def _refuses_unreadable_json(capsys, tmp_path, corpus_dir, data: bytes):
+    """validate, filtration and certify (as the certificate) exit 2 on a
+    file holding data, with one error line that calls it not valid JSON."""
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(data)
+    files = _bundle_files(corpus_dir, "binomial_2_4_id")
+    for argv in (
+        ["validate", str(path)],
+        ["filtration", str(path)],
+        ["certify", str(path), files["comodule"], files["map"]],
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith(f"error: ParseError: {path} is not valid JSON: "), (argv, err)
+        assert err.count("\n") == 1 and "Traceback" not in err, (argv, err)
+
+
+def test_a_file_that_is_not_utf8_exits_2(capsys, tmp_path, corpus_dir):
+    _refuses_unreadable_json(capsys, tmp_path, corpus_dir, b'{"p": 2, "basis": ["\xff"]}')
+
+
+def test_json_nested_too_deep_exits_2(capsys, tmp_path, corpus_dir):
+    _refuses_unreadable_json(capsys, tmp_path, corpus_dir, b"[" * 200_000 + b"]" * 200_000)
+
+
+def test_an_int_over_the_digit_limit_exits_2(capsys, tmp_path, corpus_dir):
+    _refuses_unreadable_json(capsys, tmp_path, corpus_dir, b'{"p": ' + b"7" * 5000 + b"}")
+
+
 # -- parser ----------------------------------------------------------------------------
 
 # Sample argvs per subcommand, every option used at least once.

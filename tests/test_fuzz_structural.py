@@ -4,10 +4,12 @@ The inputs are the corpus definition files, a ``binomial_3_9`` bundle and
 their certificates.  Each run, seeded from ``--seed``, takes one file, makes
 1-3 edits to it and runs one command on the bundle it belongs to.  An edit
 deletes a key or list entry, puts None, a bool, a float, a huge int or a
-string in its place, sets ``p`` to a large prime or a pseudoprime, or
-truncates the JSON text.  Whatever the edits, every exit code must lie in
-the contract's {0, ..., 4}, no run may raise, and nothing may print a
-traceback.
+string in its place, or sets ``p`` to a large prime or a pseudoprime.  One
+run in four also edits the JSON text: it truncates it, puts a byte that is
+not UTF-8 in it, nests it in arrays deeper than the parser's recursion
+limit, or lengthens a digit run past Python's int/str digit limit.
+Whatever the edits, every exit code must lie in the contract's
+{0, ..., 4}, no run may raise, and nothing may print a traceback.
 """
 
 import json
@@ -57,6 +59,22 @@ def _edit(rng, doc):
     return f"{key!r}={node[key]!r}"
 
 
+def _edit_text(rng, text: bytes):
+    """One edit of the encoded JSON text; returns the text and its description."""
+    kind = rng.choices(("truncate", "byte", "nest", "digits"), weights=(2, 1, 1, 1))[0]
+    at = rng.randrange(len(text))
+    if kind == "truncate":
+        return text[:at], f"truncated at {at}"
+    if kind == "byte":
+        return text[:at] + b"\xff" + text[at:], f"byte 0xff at {at}"
+    if kind == "nest":
+        depth = 100_000
+        return b"[" * depth + text + b"]" * depth, f"nested {depth} deep"
+    digits = [i for i, byte in enumerate(text) if byte in b"0123456789"]
+    at = rng.choice(digits) if digits else at
+    return text[:at] + b"7" * 5000 + text[at:], f"5000 digits at {at}"
+
+
 def _command(rng, work, name, kind):
     base = str(work / name)
     comodule, fmap, cert = f"{base}.comodule.json", f"{base}.map.json", f"{base}.cert.json"
@@ -93,14 +111,14 @@ def test_edited_inputs_keep_the_exit_code_contract(tmp_path, capsys, corpus, cor
         name = rng.choice(sorted(kinds))
         kind = rng.choice(kinds[name])
         target = work / f"{name}.{kind}.json"
-        original = target.read_text()
+        original = target.read_bytes()
         doc = json.loads(original)
         edits = [_edit(rng, doc) for _ in range(rng.randint(1, 3))]
-        text = json.dumps(doc)
-        if rng.random() < 0.1:
-            cut = rng.randrange(len(text))
-            text, edits = text[:cut], edits + [f"truncated at {cut}"]
-        target.write_text(text)
+        text = json.dumps(doc).encode()
+        if rng.random() < 0.25:
+            text, edit = _edit_text(rng, text)
+            edits.append(edit)
+        target.write_bytes(text)
         argv = _command(rng, work, name, kind)
         case = (target.name, edits, argv)
         try:
@@ -108,7 +126,7 @@ def test_edited_inputs_keep_the_exit_code_contract(tmp_path, capsys, corpus, cor
         except Exception as exc:
             pytest.fail(f"{case} raised {exc!r}")
         finally:
-            target.write_text(original)
+            target.write_bytes(original)
         out, err = capsys.readouterr()
         assert code in range(5), case
         assert "Traceback" not in out + err, case
