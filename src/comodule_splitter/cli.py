@@ -261,7 +261,7 @@ def cmd_split(args) -> int:
     ma = _load_enriched(args.comodule)
     f = load_map(args.map)
     cert = build_h(ma, f, strict=args.strict, force=args.force)
-    payload = json.dumps(cert.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+    payload = cert.to_json_text() + "\n"
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(payload)
     _emit(

@@ -38,6 +38,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+import reprlib
 import typing
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -140,10 +141,14 @@ _SCALARS = frozenset((str, int, float, bool, type(None)))
 
 def _write_json(fh, obj, depth: int, head: str = "") -> None:
     """Write head, then obj as json.dump(obj, fh, sort_keys=True, indent=1)
-    writes it at depth."""
+    writes it at depth; a FieldMatrix is written as the list of its rows,
+    each row's text built from the packed row by FieldMatrix.row_texts."""
     inner, end = "\n" + " " * (depth + 1), "\n" + " " * depth
     if not isinstance(obj, (dict, list, tuple)):
-        fh.write(head + json.dumps(obj))
+        if isinstance(obj, FieldMatrix):
+            _write_matrix(fh, obj, depth, head)
+        else:
+            fh.write(head + json.dumps(obj))
     elif not obj:
         fh.write(head + ("{}" if isinstance(obj, dict) else "[]"))
     elif isinstance(obj, dict):
@@ -164,9 +169,44 @@ def _write_json(fh, obj, depth: int, head: str = "") -> None:
         fh.write(end + "]")
 
 
+def _write_matrix(fh, a: FieldMatrix, depth: int, head: str) -> None:
+    """Write head, then the rows of a as _write_json writes them as lists at
+    depth, one write per row."""
+    if not a.nrows:
+        fh.write(head + "[]")
+        return
+    inner, end = "\n" + " " * (depth + 1), "\n" + " " * depth
+    entry = "\n" + " " * (depth + 2)
+    sep = head + "[" + inner
+    for text in a.row_texts("," + entry):
+        fh.write(sep + ("[" + entry + text + inner + "]" if a.ncols else "[]"))
+        sep = "," + inner
+    fh.write(end + "]")
+
+
+# Values quoted in parse errors are abbreviated to _QUOTE_MAX characters, so
+# that a huge or deeply nested value gives a short message.  reprlib cuts
+# nothing of a value whose repr fits that length: a level adds two
+# characters, an item of a list at least three.  The limits are set as
+# attributes because reprlib.Repr takes no arguments before Python 3.12.
+_QUOTE_MAX = 200
+_QUOTE = reprlib.Repr()
+_QUOTE.maxlevel = _QUOTE_MAX // 2
+_QUOTE.maxlist = _QUOTE.maxdict = _QUOTE.maxstring = _QUOTE.maxlong = _QUOTE.maxother = _QUOTE_MAX
+
+
+def _quoted(value) -> str:
+    """repr(value) when it fits _QUOTE_MAX characters, and otherwise its
+    abbreviation by _QUOTE, cut to that length."""
+    text = _QUOTE.repr(value)
+    if len(text) > _QUOTE_MAX:
+        return text[: _QUOTE_MAX - 3] + "..."
+    return text if "..." in text else repr(value)  # repr keeps a dict's key order
+
+
 def _require(doc: dict, key: str, path: str):
     if key not in doc:
-        raise ParseError(f"{path}: missing required key {key!r}")
+        raise ParseError(f"{path}: missing required key {_quoted(key)}")
     return doc[key]
 
 
@@ -179,7 +219,7 @@ def _typed(doc: dict, key: str, kind: type, path: str):
     """doc[key], which must be present and of the given JSON kind."""
     val = _require(doc, key, path)
     if type(val) is not kind:
-        raise ParseError(f"{path}: {key!r} must be of type {kind.__name__}")
+        raise ParseError(f"{path}: {_quoted(key)} must be of type {kind.__name__}")
     return val
 
 
@@ -207,10 +247,10 @@ def _triples_from(entries, index_a: dict, index_b: dict, path: str, what: str):
         raise ParseError(f"{path}: {what} entries must be lists")
     for entry in entries:
         if not (isinstance(entry, list) and tuple(map(type, entry)) == (str, str, int)):
-            raise ParseError(f"{path}: bad {what} entry {entry!r}")
+            raise ParseError(f"{path}: bad {what} entry {_quoted(entry)}")
         a, b, coeff = entry
         if a not in index_a or b not in index_b:
-            raise ParseError(f"{path}: {what} references unknown label in {entry!r}")
+            raise ParseError(f"{path}: {what} references unknown label in {_quoted(entry)}")
         triples.append((index_a[a], index_b[b], coeff))
     return tuple(triples)
 
@@ -242,7 +282,7 @@ def load_coalgebra(path: str) -> Coalgebra:
         raise ParseError(f"{path}: delta must be an object keyed by basis label")
     for key in delta_doc:
         if key not in index:
-            raise ParseError(f"{path}: delta keyed by unknown label {key!r}")
+            raise ParseError(f"{path}: delta keyed by unknown label {_quoted(key)}")
     delta = tuple(
         _triples_from(delta_doc.get(lab, []), index, index, path, "delta") for lab in labels
     )
@@ -251,7 +291,7 @@ def load_coalgebra(path: str) -> Coalgebra:
         raise ParseError(f"{path}: counit must be an object keyed by basis label")
     for key, val in counit_doc.items():
         if key not in index or not _is_int(val):
-            raise ParseError(f"{path}: bad counit entry {key!r}")
+            raise ParseError(f"{path}: bad counit entry {_quoted(key)}")
     counit = tuple(counit_doc.get(lab, 0) for lab in labels)
     grouplikes = None
     if "grouplikes" in doc:
@@ -279,7 +319,7 @@ def coalgebra_to_doc(c: Coalgebra) -> dict:
 
 def _resolve(base_path: str, ref) -> str:
     if not isinstance(ref, str):
-        raise ParseError(f"{base_path}: file references must be strings, got {ref!r}")
+        raise ParseError(f"{base_path}: file references must be strings, got {_quoted(ref)}")
     return os.path.join(os.path.dirname(os.path.abspath(base_path)), ref)
 
 
@@ -299,7 +339,7 @@ def load_comodule(path: str) -> tuple[Comodule, ComoduleAlgebra | None]:
         raise ParseError(f"{path}: psi must be an object keyed by basis label")
     for key in psi_doc:
         if key not in index:
-            raise ParseError(f"{path}: psi keyed by unknown label {key!r}")
+            raise ParseError(f"{path}: psi keyed by unknown label {_quoted(key)}")
     psi = tuple(
         _triples_from(psi_doc.get(lab, []), index, sigma_index, path, "psi") for lab in labels
     )
@@ -345,9 +385,7 @@ def comodule_to_doc(m: Comodule, ma: ComoduleAlgebra | None, over_ref: str) -> d
     if ma is not None:
         doc["unit"] = list(ma.unit)
         doc["augmentation"] = list(ma.augmentation)
-        doc["action"] = {
-            str(i): ma.action[i].rows_as_lists() for i in range(len(ma.grouplikes))
-        }
+        doc["action"] = {str(i): ma.action[i] for i in range(len(ma.grouplikes))}
     return doc
 
 
@@ -362,7 +400,7 @@ def load_map(path: str) -> ComoduleMap:
 
 
 def map_to_doc(f: ComoduleMap, source_ref: str, target_ref: str) -> dict:
-    return {"source": source_ref, "target": target_ref, "matrix": f.matrix.rows_as_lists()}
+    return {"source": source_ref, "target": target_ref, "matrix": f.matrix}
 
 
 def _report_from(cls, doc: dict, path: str):

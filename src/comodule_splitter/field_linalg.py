@@ -322,6 +322,24 @@ class FieldMatrix:
     def rows_as_lists(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.nrows)]
 
+    def row_texts(self, sep: str) -> list[str]:
+        """The JSON text of each row's entries, in decimal and joined by sep,
+        read straight off the internal rows: over F_2 the row's bits as one
+        binary numeral, reversed, so that no entry becomes an int."""
+        n = self.ncols
+        if n == 0:
+            return [""] * self.nrows
+        if self.p == 2:
+            mask, fmt = (1 << n) - 1, f"0{n}b"
+            return [sep.join(format(r & mask, fmt)[::-1]) for r in self._rows]
+        texts = []
+        for r in self._rows:
+            vec = ["0"] * n
+            for j, x in r.items():
+                vec[j] = str(x)
+            texts.append(sep.join(vec))
+        return texts
+
     def packed_cols(self) -> list[int]:
         """Bit-packed columns (bit i = row i); only for p = 2."""
         if self.p != 2:

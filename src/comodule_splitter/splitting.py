@@ -40,6 +40,7 @@ reported by the basis label of the first column of M where it shows.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -106,18 +107,25 @@ class SplittingCertificate:
             and self.rank == self.h_matrix.nrows
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.h_matrix.p,
-            "dim_m": self.h_matrix.ncols,
-            "p1_dim": self.p1_basis.dim,
-            "p1_ambient_dim": self.p1_basis.ambient_dim,
-            "p1_basis": [list(v) for v in self.p1_basis.basis_vectors()],
-            "h": self.h_matrix.rows_as_lists(),
-            "rank": self.rank,
-            "comodule_residual_zero": self.comodule_residual_zero,
-            "star_report": report_json(self.star_report),
+    def to_json_text(self) -> str:
+        """The certificate as compact JSON with sorted keys, the text split
+        writes.  The rows of h are built from its packed rows by
+        FieldMatrix.row_texts; every other value goes through json.dumps."""
+        texts = {
+            key: json.dumps(value, sort_keys=True, separators=(",", ":"))
+            for key, value in (
+                ("p", self.h_matrix.p),
+                ("dim_m", self.h_matrix.ncols),
+                ("p1_dim", self.p1_basis.dim),
+                ("p1_ambient_dim", self.p1_basis.ambient_dim),
+                ("p1_basis", [list(v) for v in self.p1_basis.basis_vectors()]),
+                ("rank", self.rank),
+                ("comodule_residual_zero", self.comodule_residual_zero),
+                ("star_report", report_json(self.star_report)),
+            )
         }
+        texts["h"] = "[" + ",".join(f"[{t}]" for t in self.h_matrix.row_texts(",")) + "]"
+        return "{" + ",".join(f'"{key}":{texts[key]}' for key in sorted(texts)) + "}"
 
 
 def _assemble_h(ma: ComoduleAlgebra, p1: Subspace) -> FieldMatrix:

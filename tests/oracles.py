@@ -41,6 +41,10 @@ dense eps (x) id.
 ``primitives_cotensor_embedding`` and ``check_map_preserves_filtration``
 state two structural lemmas on comodules, P(M) = M box R and
 f(F_k(M)) <= F_k(N), in the form the lemma tests check them.
+
+``certificate_doc`` is a certificate as the dict of plain lists that
+``json.dumps`` used to encode into the certificate text, h unpacked row by
+row.
 """
 
 from __future__ import annotations
@@ -69,6 +73,8 @@ from comodule_splitter.field_linalg import (
     image,
     kernel_from_sparse_cols,
 )
+from comodule_splitter.reporting import report_json
+from comodule_splitter.splitting import SplittingCertificate
 
 
 def _add_mod(acc: dict, key, value: int, p: int) -> None:
@@ -564,3 +570,18 @@ def spread_rewrite(coaction, left_dim: int, coords: FieldMatrix) -> list[int]:
                 col ^= spread[k] << a
         cols.append(col)
     return cols
+
+
+def certificate_doc(cert: SplittingCertificate) -> dict:
+    """The certificate as a dict of plain JSON values, h as lists of ints."""
+    return {
+        "p": cert.h_matrix.p,
+        "dim_m": cert.h_matrix.ncols,
+        "p1_dim": cert.p1_basis.dim,
+        "p1_ambient_dim": cert.p1_basis.ambient_dim,
+        "p1_basis": [list(v) for v in cert.p1_basis.basis_vectors()],
+        "h": cert.h_matrix.rows_as_lists(),
+        "rank": cert.rank,
+        "comodule_residual_zero": cert.comodule_residual_zero,
+        "star_report": report_json(cert.star_report),
+    }

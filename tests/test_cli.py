@@ -169,6 +169,35 @@ def test_an_int_over_the_digit_limit_exits_2(capsys, tmp_path, corpus_dir):
     _refuses_unreadable_json(capsys, tmp_path, corpus_dir, b'{"p": ' + b"7" * 5000 + b"}")
 
 
+def test_parse_errors_quote_long_values_briefly(capsys, tmp_path, corpus_dir):
+    """A delta entry nested 900 deep (near the parser's nesting limit under
+    pytest), a label of 100k characters and a long array exit 2 with one
+    short error line; a short bad entry is quoted as repr quotes it, a
+    dict's keys in their order."""
+    with open(_bundle_files(corpus_dir, "sigma_level0_id")["sigma"], encoding="utf-8") as fh:
+        sigma = json.load(fh)
+    label = sigma["basis"][0]
+    text = lambda entry: json.dumps(dict(sigma, delta={label: [entry]}))
+    long_cases = {
+        "nested": (text("N").replace('"N"', "[" * 900 + "]" * 900), "bad delta entry [[[["),
+        "long_label": (text(["x" * 100_000, label, 1]), "delta references unknown label in ['xxx"),
+        "long_array": (text(list(range(10_000))), "bad delta entry [0, 1, 2"),
+    }
+    for name, (doc, start) in long_cases.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(doc)
+        code, out, err = _run(capsys, "validate", str(path))
+        assert (code, out) == (2, ""), name
+        assert err.startswith(f"error: ParseError: {path}: {start}"), (name, err[:200])
+        assert err.count("\n") == 1 and len(err) < 500, (name, len(err))
+    for entry in ([label, label, "1"], {"b": 1, "a": [2]}, [label, label, 1, 2, 3, 4, 5, 6, 7, 8]):
+        path = tmp_path / "short.json"
+        path.write_text(text(entry))
+        code, out, err = _run(capsys, "validate", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: ParseError: {path}: bad delta entry {entry!r}\n"
+
+
 # -- parser ----------------------------------------------------------------------------
 
 # Sample argvs per subcommand, every option used at least once.

@@ -2,9 +2,11 @@
 
 Every definition file is written by ``definitions._dump_json``.  Its output
 must be byte for byte what ``json.dump(doc, fh, sort_keys=True, indent=1)``
-and a newline give, so the oracle here is ``json.dumps`` with those options.
-The corpus files are also pinned by one digest, so that a change of bytes
-shows even where the oracle would change with the writer.
+and a newline give, with each ``FieldMatrix`` in the document written as its
+rows, so the oracle here is ``json.dumps`` with those options and
+``FieldMatrix.rows_as_lists`` as the default.  The corpus files are also
+pinned by one digest, so that a change of bytes shows even where the oracle
+would change with the writer.
 """
 
 import hashlib
@@ -16,6 +18,7 @@ import pytest
 
 from comodule_splitter import definitions
 from comodule_splitter.definitions import write_bundle
+from comodule_splitter.field_linalg import FieldMatrix
 from comodule_splitter.generators import bundle_extended, gen_binomial_truncation
 
 # sha256 of the corpus files written by write_bundle, joined in C-locale name
@@ -34,10 +37,12 @@ class _Rows(list):
 # Quotes, backslashes, control characters, non-ASCII and an astral character.
 _CHARS = 'ab1 "\\/\n\t\x00\x1f\x7fé€\U0001f600'
 _INTS = (0, -1, -(10**6), 2**64, 2**64 + 1, -(2**70), 3**100, _Count(7))
+_PRIMES = (2, 3, 2**61 - 1)
 
 
 def _oracle(doc) -> bytes:
-    return (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode("utf-8")
+    text = json.dumps(doc, sort_keys=True, indent=1, default=FieldMatrix.rows_as_lists)
+    return (text + "\n").encode("utf-8")
 
 
 def _written(doc, path) -> bytes:
@@ -65,12 +70,27 @@ def _scalar(rng):
     return rng.randint(-50, 50)
 
 
+def _matrix(rng):
+    """A random FieldMatrix over F_2, F_3 or F_(2^61 - 1), with no rows, no
+    columns or one column among its shapes, and entries up to p - 1; an F_2
+    matrix sometimes carries packed bits past its last column, which
+    the unpacking ignores."""
+    p = rng.choice(_PRIMES)
+    nrows, ncols = rng.choice((0, 1, 3)), rng.choice((0, 1, 5))
+    entry = lambda: rng.choice((0, 1, p - 1, rng.randrange(p)))
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    a = FieldMatrix(p, rows, ncols=ncols)
+    if p == 2 and rng.random() < 0.3:
+        return FieldMatrix._raw(2, nrows, ncols, tuple(r | (6 << ncols) for r in a._rows))
+    return a
+
+
 def _value(rng, depth):
-    """A random JSON value; dicts, lists, tuples and a list subclass (empty
-    ones too) at every depth up to 4, and flat arrays long enough to span
-    many lines."""
+    """A random JSON value or FieldMatrix; dicts, lists, tuples and a list
+    subclass (empty ones too) at every depth up to 4, and flat arrays long
+    enough to span many lines."""
     if depth >= 4 or rng.random() < 0.3:
-        return _scalar(rng)
+        return _matrix(rng) if rng.random() < 0.1 else _scalar(rng)
     kind = rng.choice((dict, list, tuple, _Rows))
     if kind is not dict and rng.random() < 0.1:
         return kind(_scalar(rng) for _ in range(40))

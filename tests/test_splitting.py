@@ -41,6 +41,7 @@ from comodule_splitter.generators import (
 )
 from comodule_splitter.splitting import _residual_witness, _trailing_pivots
 from oracles import (
+    certificate_doc,
     cofree,
     greedy_retraction,
     h_by_phi_solve,
@@ -548,11 +549,11 @@ def test_certificate_json_round_trip(corpus, tmp_path):
     bundles = {b.name: b for b in corpus}
     b = bundles["binomial_2_4_id"]
     cert = build_h(b.comodule_algebra, b.splitting_map)
-    doc = cert.to_json_dict()
+    text = cert.to_json_text()
     path = tmp_path / "cert.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(text)
     again = load_certificate(str(path))
-    assert again.to_json_dict() == doc
+    assert again.to_json_text() == text
     assert again.certified == cert.certified
     assert again.h_matrix == cert.h_matrix
     assert again.p1_basis == cert.p1_basis
@@ -563,7 +564,7 @@ def test_report_json_keeps_the_field_order(corpus):
     key order is part of the certificate: ok, then the fields as declared.
     A check leaves out a witness it does not have."""
     b = {b.name: b for b in corpus}["sigma_level1_id"]
-    star = build_h(b.comodule_algebra, b.splitting_map).to_json_dict()["star_report"]
+    star = report_json(build_h(b.comodule_algebra, b.splitting_map).star_report)
     assert list(star) == [
         "ok", "rank", "target_dim", "surjective", "unit_ok", "equivariance_ok", "strict", "levels",
     ]
@@ -579,8 +580,45 @@ def test_certificate_serialization_is_deterministic(corpus):
     b = bundles["sigma_level1_id"]
     first = build_h(b.comodule_algebra, b.splitting_map)
     second = build_h(b.comodule_algebra, b.splitting_map)
-    dump = lambda c: json.dumps(c.to_json_dict(), sort_keys=True)
-    assert dump(first) == dump(second)
+    assert first.to_json_text() == second.to_json_text()
+
+
+def test_certificate_text_matches_the_dict_oracle(corpus, base_seed):
+    """to_json_text builds h from the packed rows; it must give the text that
+    json.dumps gives for the certificate as plain lists.  The certificates
+    cover both row formats, a p of 61 bits, a conjugated odd-p bundle whose
+    h has multi-digit entries, an h with no rows, an h with no columns, and
+    packed rows carrying bits past the last column, which the unpacking
+    ignores."""
+    bundles = list(corpus) + [
+        gen_binomial_truncation(3, 48),
+        gen_binomial_truncation(5, 25),
+        bundle_extended(2, 8),
+        gen_binomial_truncation(2**61 - 1, 3),
+    ]
+    certs = [build_h(b.comodule_algebra, b.splitting_map, force=True) for b in bundles]
+    b = gen_binomial_truncation(13, 6)
+    rng = random.Random(base_seed + 18)
+    ma, f = _conjugate(b.comodule_algebra, b.splitting_map, _random_invertible(rng, 13, 6))
+    conjugated = build_h(ma, f)
+    assert max(max(row) for row in conjugated.h_matrix.rows_as_lists()) >= 10
+    certs.append(conjugated)
+    small = {c.name: c for c in corpus}["sigma_level0_id"]
+    cert = build_h(small.comodule_algebra, small.splitting_map)
+    h = cert.h_matrix
+    certs += [
+        dataclasses.replace(cert, h_matrix=FieldMatrix.zeros(2, 0, h.ncols)),
+        dataclasses.replace(cert, h_matrix=FieldMatrix.zeros(2, h.nrows, 0)),
+        dataclasses.replace(
+            cert,
+            h_matrix=FieldMatrix._raw(
+                2, h.nrows, h.ncols, tuple(r | (5 << h.ncols) for r in h._rows)
+            ),
+        ),
+    ]
+    for cert in certs:
+        oracle = json.dumps(certificate_doc(cert), sort_keys=True, separators=(",", ":"))
+        assert cert.to_json_text() == oracle
 
 
 def test_certified_property_requires_full_rank(corpus):
