@@ -120,29 +120,21 @@ def _once_per_command(load):
 
 def _dump_json(doc: dict, path: str) -> None:
     """Write doc as json.dump(doc, fh, sort_keys=True, indent=1) and a
-    newline would, byte for byte, but with each array of scalars encoded in
-    one call of the C encoder."""
+    newline would, byte for byte, but with each int and str of an array
+    written from its exact type, and no encoder built per value."""
     with open(path, "w", encoding="utf-8") as fh:
-        _write_json(fh, doc, 0)
+        _write_json(fh, doc, 0, "", {})
         fh.write("\n")
 
 
-@functools.cache
-def _flat_items(depth: int):
-    """Encoder of an array of scalars whose items sit at depth, with the
-    separator json.dump(indent=1) puts between them."""
-    return json.JSONEncoder(separators=(",\n" + " " * depth, ": ")).encode
-
-
-# Scalar types, matched exactly: an array of these is handed to the C encoder
-# whole, and anything else (a subclass too) is written item by item.
-_SCALARS = frozenset((str, int, float, bool, type(None)))
-
-
-def _write_json(fh, obj, depth: int, head: str = "") -> None:
+def _write_json(fh, obj, depth: int, head: str, quoted: dict) -> None:
     """Write head, then obj as json.dump(obj, fh, sort_keys=True, indent=1)
     writes it at depth; a FieldMatrix is written as the list of its rows,
-    each row's text built from the packed row by FieldMatrix.row_texts."""
+    each row's text built from the packed row by FieldMatrix.row_texts.
+    An item of an array that is exactly an int is written by int.__repr__,
+    one that is exactly a str by its JSON text, kept in quoted for the rest
+    of the write, and any other item as a value of its own; any other
+    scalar (a float, bool, None or a subclass) goes through json.dumps."""
     inner, end = "\n" + " " * (depth + 1), "\n" + " " * depth
     if not isinstance(obj, (dict, list, tuple)):
         if isinstance(obj, FieldMatrix):
@@ -156,15 +148,19 @@ def _write_json(fh, obj, depth: int, head: str = "") -> None:
         for key in sorted(obj):
             if not isinstance(key, str):  # json.dumps would leave it unquoted
                 raise TypeError(f"definition keys must be str, not {type(key).__name__}")
-            _write_json(fh, obj[key], depth + 1, sep + json.dumps(key) + ": ")
+            _write_json(fh, obj[key], depth + 1, sep + json.dumps(key) + ": ", quoted)
             sep = "," + inner
         fh.write(end + "}")
-    elif set(map(type, obj)) <= _SCALARS:
-        fh.write(head + "[" + inner + _flat_items(depth + 1)(obj)[1:-1] + end + "]")
     else:
         sep = head + "[" + inner
         for item in obj:
-            _write_json(fh, item, depth + 1, sep)
+            kind = type(item)
+            if kind is int:
+                fh.write(sep + int.__repr__(item))
+            elif kind is str:
+                fh.write(sep + (quoted.get(item) or quoted.setdefault(item, json.dumps(item))))
+            else:
+                _write_json(fh, item, depth + 1, sep, quoted)
             sep = "," + inner
         fh.write(end + "]")
 

@@ -17,8 +17,9 @@ t_0-free monomials in earlier generators), and the pointedness certificate
 with grouplikes {1, t_0, t_0^2}.
 
 Every bundle carries in-memory-only extras (left-multiplication matrices on
-the over-coalgebra, full product tables) so the deep validator tiers run on
-them even though definition files do not store those fields.
+the over-coalgebra, and the product table of M where M is Sigma itself) so
+the deep validator tiers run on them even though definition files do not
+store those fields.  An extended bundle carries no product table on M.
 """
 
 from __future__ import annotations
@@ -280,8 +281,11 @@ def gen_sigma_truncation(level: int) -> SigmaTruncation:
 
 
 def bundle_sigma_regular(level: int) -> ExampleBundle:
-    tr = gen_sigma_truncation(level)
-    return _regular_bundle(f"sigma_level{level}_id", tr.coalgebra)
+    return _sigma_regular(gen_sigma_truncation(level))
+
+
+def _sigma_regular(tr: SigmaTruncation) -> ExampleBundle:
+    return _regular_bundle(f"sigma_level{tr.level}_id", tr.coalgebra)
 
 
 # -- extended comodules and the negative control ---------------------------------------
@@ -293,7 +297,8 @@ def gen_extended_comodule(sigma: Coalgebra, a_dim: int, name: str | None = None)
 
     The grouplikes act through Sigma (left multiplication on the right
     factor), the unit is a_0 (x) 1, and f = eps_A (x) id projects onto Sigma.
-    Requires the product table on sigma so the action matrices exist.
+    Requires the product table on sigma so the action matrices exist; M's
+    own product table is not built, so the result's ``product`` is None.
     """
     if a_dim < 1:
         raise ParseError(f"the algebra factor must have dimension at least 1, got {a_dim}")
@@ -318,31 +323,7 @@ def gen_extended_comodule(sigma: Coalgebra, a_dim: int, name: str | None = None)
     augmentation = tuple(
         sigma.counit[k] if i == 0 else 0 for i in range(a_dim) for k in range(s)
     )
-    product = []
-    for i in range(a_dim):
-        row_i = []
-        for k in range(s):
-            row = []
-            for j in range(a_dim):
-                for l in range(s):
-                    if i and j:
-                        row.append(())
-                        continue
-                    a_part = i + j
-                    row.append(
-                        tuple((a_part * s + t, c) for t, c in sigma.product[k][l])
-                    )
-            row_i.append(tuple(row))
-        product.extend(row_i)
-    ma = ComoduleAlgebra(
-        base,
-        g,
-        action,
-        unit,
-        augmentation,
-        sigma_action=lam,
-        product=tuple(product),
-    )
+    ma = ComoduleAlgebra(base, g, action, unit, augmentation, sigma_action=lam)
     f_cols = []
     for i in range(a_dim):
         for k in range(s):
@@ -354,8 +335,11 @@ def gen_extended_comodule(sigma: Coalgebra, a_dim: int, name: str | None = None)
 
 
 def bundle_extended(level: int, a_dim: int) -> ExampleBundle:
-    tr = gen_sigma_truncation(level)
-    return gen_extended_comodule(tr.coalgebra, a_dim, name=f"extended_a{a_dim}_level{level}")
+    return _extended(gen_sigma_truncation(level), a_dim)
+
+
+def _extended(tr: SigmaTruncation, a_dim: int) -> ExampleBundle:
+    return gen_extended_comodule(tr.coalgebra, a_dim, name=f"extended_a{a_dim}_level{tr.level}")
 
 
 def bundle_negative_control() -> ExampleBundle:
@@ -363,7 +347,11 @@ def bundle_negative_control() -> ExampleBundle:
     valid comodule map that is not surjective, so the splitting hypothesis
     fails and build_h must refuse.  Every component still passes its
     validator; only the hypothesis on f is broken."""
-    good = bundle_sigma_regular(0)
+    return _zero_map_control(bundle_sigma_regular(0))
+
+
+def _zero_map_control(good: ExampleBundle) -> ExampleBundle:
+    """The level-0 regular bundle good with its map replaced by zero."""
     sigma = good.coalgebra
     f = ComoduleMap(
         good.comodule_algebra.base,
@@ -376,17 +364,16 @@ def bundle_negative_control() -> ExampleBundle:
 
 
 def shipped_corpus() -> tuple[ExampleBundle, ...]:
-    """The bundles the corpus command and the acceptance suite run end to end."""
+    """The bundles the corpus command and the acceptance suite run end to
+    end.  Each Sigma truncation is built once per call and shared by the
+    bundles over it."""
+    tr = [gen_sigma_truncation(level) for level in range(3)]
+    regular = [_sigma_regular(t) for t in tr]
     return (
         gen_binomial_truncation(2, 4),
-        bundle_extended(0, 2),
-        bundle_extended(0, 3),
-        bundle_extended(1, 2),
-        bundle_extended(1, 3),
-        bundle_sigma_regular(0),
-        bundle_sigma_regular(1),
-        bundle_sigma_regular(2),
-        bundle_negative_control(),
+        *(_extended(tr[level], a_dim) for level in (0, 1) for a_dim in (2, 3)),
+        *regular,
+        _zero_map_control(regular[0]),
     )
 
 

@@ -45,6 +45,11 @@ f(F_k(M)) <= F_k(N), in the form the lemma tests check them.
 ``certificate_doc`` is a certificate as the dict of plain lists that
 ``json.dumps`` used to encode into the certificate text, h unpacked row by
 row.
+
+``extended_product_table`` is the product table of an extended comodule
+M = A (x) Sigma, the m x m table that ``gen_extended_comodule`` used to
+build and that no command reads; the tests attach it to ask the product
+checks of ``validate_comodule_algebra``.
 """
 
 from __future__ import annotations
@@ -585,3 +590,27 @@ def certificate_doc(cert: SplittingCertificate) -> dict:
         "comodule_residual_zero": cert.comodule_residual_zero,
         "star_report": report_json(cert.star_report),
     }
+
+
+def extended_product_table(sigma: Coalgebra, a_dim: int) -> tuple:
+    """The product table of M = A (x) Sigma, with A = k + (nilpotents of
+    square zero) of dimension a_dim: (a_i (x) x)(a_j (x) y) is
+    a_{i+j} (x) xy when i or j is 0, and 0 otherwise."""
+    s = sigma.dim
+    product = []
+    for i in range(a_dim):
+        row_i = []
+        for k in range(s):
+            row = []
+            for j in range(a_dim):
+                for l in range(s):
+                    if i and j:
+                        row.append(())
+                        continue
+                    a_part = i + j
+                    row.append(
+                        tuple((a_part * s + t, c) for t, c in sigma.product[k][l])
+                    )
+            row_i.append(tuple(row))
+        product.extend(row_i)
+    return tuple(product)

@@ -62,6 +62,7 @@ from oracles import (
     check_map_preserves_filtration,
     coassociativity_witness,
     cofree,
+    extended_product_table,
     intersect,
     multiplicative_witness,
     preimage,
@@ -113,9 +114,16 @@ def test_dropped_psi_term_is_caught_with_witness():
 
 
 def test_comodule_algebra_validates_on_corpus(corpus):
+    """Every corpus bundle validates; the extended ones with M's product table
+    attached from the oracle, so that all 12 checks run on them too."""
     for bundle in corpus:
-        report = validate_comodule_algebra(bundle.comodule_algebra)
+        ma = bundle.comodule_algebra
+        if bundle.name.startswith("extended_"):
+            a_dim = ma.dim // bundle.coalgebra.dim
+            ma = _replace(ma, product=extended_product_table(bundle.coalgebra, a_dim))
+        report = validate_comodule_algebra(ma)
         assert report.ok, (bundle.name, [x.name for x in report.failures()])
+        assert len(report.checks) == (9 if ma.product is None else 12), bundle.name
 
 
 # -- targeted comodule-algebra mutations -----------------------------------------------

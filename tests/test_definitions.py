@@ -38,6 +38,8 @@ class _Rows(list):
 _CHARS = 'ab1 "\\/\n\t\x00\x1f\x7fé€\U0001f600'
 _INTS = (0, -1, -(10**6), 2**64, 2**64 + 1, -(2**70), 3**100, _Count(7))
 _PRIMES = (2, 3, 2**61 - 1)
+# json.dump writes nan and the infinities as NaN, Infinity and -Infinity.
+_FLOATS = (0.5, -0.0, 1e300, 5e-324, float("inf"), float("-inf"), float("nan"))
 
 
 def _oracle(doc) -> bytes:
@@ -60,13 +62,15 @@ def _key(rng):
 
 
 def _scalar(rng):
-    kind = rng.randrange(4)
+    kind = rng.randrange(5)
     if kind == 0:
         return _text(rng)
     if kind == 1:
         return rng.choice((True, False, None))
     if kind == 2:
         return rng.choice(_INTS)
+    if kind == 3:
+        return rng.choice(_FLOATS)
     return rng.randint(-50, 50)
 
 
@@ -108,6 +112,8 @@ def test_the_writer_matches_json_dump_on_random_documents(tmp_path, base_seed):
         assert _written(doc, path) == _oracle(doc), (case, doc)
     nested = {"a": ((), [[]], ({},), {"b": ((1, (2,)), [])}), "10": [], "2": {}}
     assert _written(nested, path) == _oracle(nested)
+    scalars = {"float": 1e300, "flat": [*_FLOATS, True, False, None, 1, "1"], "nan": float("nan")}
+    assert _written(scalars, path) == _oracle(scalars)
 
 
 def test_the_writer_refuses_non_str_keys(tmp_path):

@@ -3,6 +3,9 @@ truncations, gate behavior on bad requests, the extended comodules, the
 negative control, and the randomized pointed coalgebras.
 """
 
+import dataclasses
+import hashlib
+
 import pytest
 
 from comodule_splitter import (
@@ -20,6 +23,7 @@ from comodule_splitter import (
     validate_comodule_algebra,
 )
 from comodule_splitter.generators import (
+    bundle_extended,
     bundle_negative_control,
     gen_binomial_truncation,
     gen_extended_comodule,
@@ -29,6 +33,7 @@ from comodule_splitter.generators import (
     gen_sigma_truncation,
     shipped_corpus,
 )
+from oracles import extended_product_table
 
 CORPUS_EXPECTATIONS = {
     "binomial_2_4_id": "certified",
@@ -159,7 +164,56 @@ def test_extended_comodule_is_cofree():
         [0, 0, 1, 0, 0, 0],
     ]
     assert validate_comodule(ma.base).ok
-    assert validate_comodule_algebra(ma).ok
+    assert ma.product is None
+    report = validate_comodule_algebra(
+        dataclasses.replace(ma, product=extended_product_table(tr.coalgebra, 2))
+    )
+    assert report.ok and len(report.checks) == 12
+
+
+# sha256 of repr(product) for the product table of bundle_extended(level,
+# a_dim), as gen_extended_comodule built it before it stopped building one.
+EXTENDED_PRODUCT_SHA256 = {
+    (0, 2): "cb0a493e41eab4f20db4b388462ff79b544605fc321251835899d3daae3f2be6",
+    (1, 3): "cbac3100beab9b0850f98ddf2a2de386afa692d1643e85596f118e9877b6b6a8",
+    (2, 2): "b87663c9168b1bfb3cee9a6f829076b91773dce20a3a2964608e7a5268932d9f",
+}
+
+
+def test_extended_bundles_carry_no_product_table():
+    ma = bundle_extended(1, 3).comodule_algebra
+    assert ma.product is None
+    sigma = gen_sigma_truncation(2).coalgebra
+    assert gen_extended_comodule(sigma, 2).comodule_algebra.product is None
+    report = validate_comodule_algebra(ma)
+    assert report.ok and len(report.checks) == 9
+
+
+@pytest.mark.parametrize("level, a_dim", sorted(EXTENDED_PRODUCT_SHA256))
+def test_the_product_tier_passes_on_extended_bundles(level, a_dim):
+    b = bundle_extended(level, a_dim)
+    table = extended_product_table(b.coalgebra, a_dim)
+    assert hashlib.sha256(repr(table).encode()).hexdigest() == EXTENDED_PRODUCT_SHA256[level, a_dim]
+    report = validate_comodule_algebra(dataclasses.replace(b.comodule_algebra, product=table))
+    assert report.ok and len(report.checks) == 12
+
+
+def test_one_edited_product_cell_fails_the_product_tier():
+    b = bundle_extended(1, 3)
+    table = extended_product_table(b.coalgebra, 3)
+    labels = b.comodule_algebra.base.labels
+    t0, t1 = labels.index("t0"), labels.index("t1")
+
+    def failing_with(i, j, cell):
+        rows = [list(row) for row in table]
+        rows[i][j] = cell
+        ma = dataclasses.replace(b.comodule_algebra, product=tuple(map(tuple, rows)))
+        return {c.name for c in validate_comodule_algebra(ma).failures()}
+
+    # t0 * t1 is a column of the action of t0, which the edit leaves alone.
+    assert "action_is_left_multiplication" in failing_with(t0, t1, ())
+    # With t1 * t1 = 0, psi(t1 * t1) = 0 but psi(t1) psi(t1) = 1 (x) t1^2.
+    assert failing_with(t1, t1, ()) == {"coaction_is_algebra_map"}
 
 
 def test_extended_comodule_needs_a_product_table():
