@@ -33,7 +33,6 @@ from .comodule import (
     comodule_primitives_at,
     comodule_primitives_total,
     cotensor,
-    graded_left_primitives,
     validate_comodule,
     validate_comodule_algebra,
 )
@@ -132,7 +131,6 @@ __all__ = [
     "gen_non_pointed",
     "gen_random_pointed",
     "gen_sigma_truncation",
-    "graded_left_primitives",
     "is_grouplike",
     "primitives_at",
     "recheck_certificate",

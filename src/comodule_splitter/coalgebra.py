@@ -156,10 +156,9 @@ class Coalgebra:
     """Structure constants of a coalgebra over F_p.
 
     ``delta[i]`` lists the triples (j, k, coeff) of Delta(e_i); ``counit``
-    is the tuple of values of the counit on the basis.  ``product`` is an
-    optional full multiplication table (product[i][j] = tuple of (k, coeff))
-    used only for the richer algebra-side validations; definition files do
-    not carry it.
+    is the tuple of values of the counit on the basis.  No multiplication
+    is carried: the pipeline needs only left multiplication by grouplikes,
+    which the generators build from the group law.
     """
 
     p: int
@@ -168,7 +167,6 @@ class Coalgebra:
     delta: tuple[Triples, ...]
     counit: tuple[int, ...]
     declared_grouplikes: tuple[tuple[int, ...], ...] | None = None
-    product: tuple[tuple[tuple[tuple[int, int], ...], ...], ...] | None = None
 
     def __post_init__(self):
         if self.dim != len(self.labels):
@@ -200,9 +198,9 @@ class Coalgebra:
     def core_equal(self, other: "Coalgebra") -> bool:
         """Same underlying coalgebra: p, dimension, comultiplication, counit.
 
-        Labels, declared grouplikes, and the optional product table are
-        presentation or enrichment data and do not affect whether two
-        descriptions define the same coalgebra on the same basis.
+        Labels and declared grouplikes are presentation data and do not
+        affect whether two descriptions define the same coalgebra on the
+        same basis.
         """
         return (
             self.p == other.p

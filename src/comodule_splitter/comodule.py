@@ -8,20 +8,19 @@ element m_i of M, ``psi[i]`` lists triples (a, k, coeff) meaning
 Everything downstream of the coalgebra layer lives here: the induced
 filtration F_k(M) = psi^{-1}(M (x) F_k), primitives at a grouplike,
 the total primitives with their certified decomposition, cotensor
-products against small left comodules, graded left primitives, and the
-star-surjectivity report that gates the splitting engine.  The filtration
-and both sides of the graded primitives are read off one
-``AdaptedCoaction``: psi (or Delta) rewritten once with its Sigma factor in
-a basis adapted to the filtration of Sigma, where every level is a kernel
-of shifted and masked columns.  The star check rewrites psi and Delta once
+products against small left comodules, and the star-surjectivity report
+that gates the splitting engine.  The filtration and both sides of the
+graded primitives are read off one ``AdaptedCoaction``: psi (or Delta)
+rewritten once with its Sigma factor in a basis adapted to the filtration
+of Sigma, where every level is a kernel of shifted and masked columns.  The star check rewrites psi and Delta once
 each for all its levels, and F_0(M) = psi^{-1}(M (x) span(g)) is the one
 level of the filtration span(g) of Sigma.  No tensor sum, psi matrix or
 staircase proof is built for any of them.
 
 Every check that a matrix intertwines two coactions is one call of
 ``coalgebra._coaction_residual``: the map residual, coassociativity (psi
-into the cofree M (x) Sigma; a left comodule with its slots swapped, over
-Delta^cop), psi(v) = v (x) g, P_g(M), and ``coaction_along``, its first half.
+into the cofree M (x) Sigma), psi(v) = v (x) g, P_g(M), and
+``coaction_along``, its first half.
 
 A ComoduleAlgebra packages the extra structure the splitting theorem
 needs: an action of the grouplikes by invertible matrices, a unit vector
@@ -78,7 +77,6 @@ from .reporting import (
 )
 
 PsiTriples = tuple[tuple[int, int, int], ...]
-ProductTable = tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
 
 
 @dataclass(frozen=True)
@@ -178,21 +176,6 @@ class LeftComodule:
         labels = tuple(f"g{i}" for i in range(len(g)))
         return cls(sigma, len(g), labels, tuple(triples))
 
-    def validate(self) -> ValidationReport:
-        """Counit and coassociativity; with its tensor slots swapped, N is a
-        right comodule over Sigma with Delta^cop, and psi a map into the
-        cofree comodule N (x) Sigma."""
-        c = self.over
-        swapped = [tuple((b, k, x) for k, b, x in t) for t in self.psi]
-        cop = [tuple((j, i, x) for i, j, x in t) for t in c.delta]
-        checks = []
-        for name, witness in (
-            ("counit", _counit_witness(self.labels, self.psi, c.counit, self.p, keep_slot=1)),
-            ("coassociativity", _cofree_witness(self.labels, swapped, _as_cols(swapped, c.dim), cop, self.p)),
-        ):
-            checks.append(CheckResult(name, witness is None, witness))
-        return ValidationReport("left comodule", tuple(checks))
-
 
 @dataclass(frozen=True)
 class ComoduleAlgebra:
@@ -201,8 +184,8 @@ class ComoduleAlgebra:
     ``action[i]`` is the matrix by which ``grouplikes.vectors[i]`` acts on M.
     ``sigma_action``, when present, holds the matrices of left multiplication
     by each grouplike on the over-coalgebra, which unlocks the verbatim
-    multiplicativity check.  ``product`` is an optional full multiplication
-    table on M (product[i][j] = triples (k, coeff) for m_i * m_j).
+    multiplicativity check.  No multiplication table on M is carried: the
+    pipeline uses only the unit, the augmentation and the grouplike action.
     """
 
     base: Comodule
@@ -211,7 +194,6 @@ class ComoduleAlgebra:
     unit: tuple[int, ...]
     augmentation: tuple[int, ...]
     sigma_action: tuple[FieldMatrix, ...] | None = None
-    product: ProductTable | None = None
 
     def __post_init__(self):
         m, p = self.base.dim, self.base.p
@@ -291,24 +273,6 @@ def validate_comodule(m: Comodule) -> ValidationReport:
     ):
         checks.append(CheckResult(name, witness is None, witness))
     return ValidationReport("comodule", tuple(checks))
-
-
-def _product_apply(table: ProductTable, p: int, dim: int, u: Vector, v: Vector) -> tuple[int, ...]:
-    out = [0] * dim
-    for i, ui in enumerate(u):
-        if not ui:
-            continue
-        for j, vj in enumerate(v):
-            if not vj:
-                continue
-            for k, coeff in table[i][j]:
-                out[k] = (out[k] + ui * vj * coeff) % p
-    return tuple(out)
-
-
-def _left_mult_matrix(table: ProductTable, p: int, dim: int, u: Vector) -> FieldMatrix:
-    basis = FieldMatrix.identity(p, dim).rows_as_lists()
-    return FieldMatrix.from_cols(p, [_product_apply(table, p, dim, u, e) for e in basis], nrows=dim)
 
 
 def validate_comodule_algebra(ma: ComoduleAlgebra) -> ValidationReport:
@@ -410,48 +374,6 @@ def validate_comodule_algebra(ma: ComoduleAlgebra) -> ValidationReport:
                 break
         checks.append(CheckResult("action_sends_unit_primitives_to_g_primitives", witness is None, witness))
 
-    if ma.product is not None:
-        eta = ma.unit
-        witness = None
-        for j in range(m):
-            basis = tuple(1 if t == j else 0 for t in range(m))
-            left = _product_apply(ma.product, p, m, eta, basis)
-            right = _product_apply(ma.product, p, m, basis, eta)
-            if left != basis or right != basis:
-                witness = ma.base.labels[j]
-                break
-        checks.append(CheckResult("unit_is_multiplicative_identity", witness is None, witness))
-
-        witness = None
-        for idx in range(len(ma.grouplikes)):
-            g_eta = ma.action[idx].matvec(ma.unit)
-            if ma.action[idx] != _left_mult_matrix(ma.product, p, m, g_eta):
-                witness = f"grouplike {idx}"
-                break
-        checks.append(CheckResult("action_is_left_multiplication", witness is None, witness))
-
-        if ma.sigma.product is not None:
-            psi = ma.base.psi
-            sprod = ma.sigma.product
-            witness = None
-            for i in range(m):
-                for j in range(m):
-                    acc: dict[tuple[int, int], int] = {}
-                    for k, coeff in ma.product[i][j]:
-                        for a, t, cf in psi[k]:
-                            acc[a, t] = acc.get((a, t), 0) + coeff * cf
-                    for a, t, cf in psi[i]:
-                        for b, u, cf2 in psi[j]:
-                            for mm, cm in ma.product[a][b]:
-                                for ss, cs in sprod[t][u]:
-                                    acc[mm, ss] = acc.get((mm, ss), 0) - cf * cf2 * cm * cs
-                    if any(x % p for x in acc.values()):
-                        witness = f"({ma.base.labels[i]}, {ma.base.labels[j]})"
-                        break
-                if witness:
-                    break
-            checks.append(CheckResult("coaction_is_algebra_map", witness is None, witness))
-
     return ValidationReport("comodule algebra", tuple(checks))
 
 
@@ -547,17 +469,7 @@ def cotensor(m: Comodule, n: LeftComodule) -> Subspace:
     return kernel_from_sparse_cols(p, m.dim * nn, cols)
 
 
-# -- graded left primitives and star-surjectivity ------------------------------------
-
-
-def graded_left_primitives(
-    ma: ComoduleAlgebra, k: int, sigma_filt: Filtration | None = None
-) -> Subspace:
-    """The space {v in M : psi(v) in eta (x) F_k + M (x) F_{k-1}}, with F_{-1} = 0."""
-    if sigma_filt is None:
-        sigma_filt = coradical_filtration_wedge(ma.sigma, ma.grouplikes)
-    basis = adapted_basis(sigma_filt.levels)
-    return AdaptedCoaction(ma.base.psi, ma.dim, *basis).preimage(k, ma.unit)
+# -- star-surjectivity -------------------------------------------------------------
 
 
 def check_star_surjective(

@@ -19,8 +19,8 @@ Loaders raise ParseError for anything structurally wrong; mathematical
 problems (a declared grouplike that is not one, say) surface later through
 the validators, not here.  Writers emit every label explicitly and the one
 file writer sorts object keys, so a write/load round trip reproduces the
-in-memory object exactly, minus the fields files do not carry (product
-tables and sigma-side action matrices).
+in-memory object exactly, minus the one field files do not carry (the
+sigma-side action matrices lambda_g).
 
 Each file is read once per command.  While the CLI runs one command,
 load_coalgebra and load_comodule return the object read the first time for

@@ -16,10 +16,11 @@ diagonal-shape check (the non-primitive part of Delta(t_i) involves only
 t_0-free monomials in earlier generators), and the pointedness certificate
 with grouplikes {1, t_0, t_0^2}.
 
-Every bundle carries in-memory-only extras (left-multiplication matrices on
-the over-coalgebra, and the product table of M where M is Sigma itself) so
-the deep validator tiers run on them even though definition files do not
-store those fields.  An extended bundle carries no product table on M.
+Every bundle over a group algebra or a Sigma truncation carries, in memory
+only, the matrices lambda_g of left multiplication by each grouplike on the
+over-coalgebra, built as permutation matrices straight from the group law;
+they unlock the verbatim multiplicativity check, and definition files do
+not store them.  No bundle carries a multiplication table.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import comb
+from typing import Iterable, Sequence
 
 from .coalgebra import (
     Coalgebra,
@@ -38,14 +40,8 @@ from .coalgebra import (
     tensor_product,
     validate_coalgebra,
 )
-from .comodule import Comodule, ComoduleAlgebra, ComoduleMap, _left_mult_matrix
-from .errors import (
-    GeneratedObjectInvalid,
-    ParseError,
-    ShapeError,
-    StructureMismatch,
-    UnsupportedLevel,
-)
+from .comodule import Comodule, ComoduleAlgebra, ComoduleMap
+from .errors import GeneratedObjectInvalid, ParseError, ShapeError, UnsupportedLevel
 from .field_linalg import FieldMatrix, _is_prime
 
 Monomial = tuple[int, ...]
@@ -71,23 +67,18 @@ def _cyclic_coalgebra(p: int, n: int) -> Coalgebra:
     delta = tuple(((i, i, 1),) for i in range(n))
     counit = (1,) * n
     grouplikes = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
-    product = tuple(
-        tuple((((i + j) % n, 1),) for j in range(n)) for i in range(n)
-    )
-    return Coalgebra(p, n, labels, delta, counit, grouplikes, product)
+    return Coalgebra(p, n, labels, delta, counit, grouplikes)
 
 
-def _grouplike_left_mults(c: Coalgebra, g: GroupLikeSet) -> tuple[FieldMatrix, ...]:
-    """Left multiplication by each grouplike, read off the product table."""
-    if c.product is None:
-        raise StructureMismatch("coalgebra carries no product table")
-    return tuple(_left_mult_matrix(c.product, c.p, c.dim, vec) for vec in g)
+def _permutation_matrices(p: int, images: Iterable[Sequence[int]]) -> tuple[FieldMatrix, ...]:
+    """One permutation matrix per row of images, sending e_j to e_row[j]."""
+    return tuple(FieldMatrix.from_sparse_cols(p, len(row), [{k: 1} for k in row]) for row in images)
 
 
-def _regular_bundle(name: str, c: Coalgebra, expected: str = "certified") -> ExampleBundle:
-    """The coalgebra as a comodule algebra over itself, with the identity map."""
+def _regular_bundle(name: str, c: Coalgebra, lam: tuple[FieldMatrix, ...]) -> ExampleBundle:
+    """The coalgebra as a comodule algebra over itself, with the identity map;
+    lam[i] is left multiplication by the i-th declared grouplike."""
     g = find_grouplikes(c, "declared")
-    lam = _grouplike_left_mults(c, g)
     reg = Comodule.regular(c)
     unit = tuple(1 if i == 0 else 0 for i in range(c.dim))
     ma = ComoduleAlgebra(
@@ -97,10 +88,9 @@ def _regular_bundle(name: str, c: Coalgebra, expected: str = "certified") -> Exa
         unit=unit,
         augmentation=c.counit,
         sigma_action=lam,
-        product=c.product,
     )
     f = ComoduleMap(reg, reg, FieldMatrix.identity(c.p, c.dim))
-    return ExampleBundle(name, c, g, ma, f, expected)
+    return ExampleBundle(name, c, g, ma, f, "certified")
 
 
 def _require_prime(p: int) -> None:
@@ -113,7 +103,9 @@ def gen_group_algebra(p: int, n: int) -> ExampleBundle:
     _require_prime(p)
     if n < 1:
         raise ParseError(f"group order must be at least 1, got {n}")
-    return _regular_bundle(f"group_algebra_{p}_{n}_id", _cyclic_coalgebra(p, n))
+    # g^i sends e_j to e_(i+j mod n)
+    lam = _permutation_matrices(p, [[(i + j) % n for j in range(n)] for i in range(n)])
+    return _regular_bundle(f"group_algebra_{p}_{n}_id", _cyclic_coalgebra(p, n), lam)
 
 
 # -- binomial truncations ------------------------------------------------------------
@@ -133,9 +125,8 @@ def _binomial_coalgebra(p: int, d: int) -> Coalgebra:
 def gen_binomial_truncation(p: int, d: int) -> ExampleBundle:
     """F_p[t]/(t^d) with the binomial diagonal and grouplike set {1}.
 
-    The comodule-algebra bundle uses the trivial group G = {1}; the diagonal
-    is not an algebra map against the truncated product for general d, so no
-    product table is attached.
+    The comodule-algebra bundle uses the trivial group G = {1}, which acts by
+    the identity on M and on Sigma.
     """
     _require_prime(p)
     if d < 2:
@@ -222,6 +213,7 @@ class SigmaTruncation:
     coalgebra: Coalgebra
     grouplikes: GroupLikeSet
     monomials: tuple[Monomial, ...]
+    left_mults: tuple[FieldMatrix, ...]
 
 
 def gen_sigma_truncation(level: int) -> SigmaTruncation:
@@ -247,10 +239,7 @@ def gen_sigma_truncation(level: int) -> SigmaTruncation:
     grouplike_vectors = tuple(
         tuple(1 if i == index[(a,) + (0,) * level] else 0 for i in range(n)) for a in range(3)
     )
-    product = tuple(
-        tuple(((index[_mono_mul(m1, m2)], 1),) for m2 in monos) for m1 in monos
-    )
-    c = Coalgebra(2, n, labels, tuple(delta), counit, grouplike_vectors, product)
+    c = Coalgebra(2, n, labels, tuple(delta), counit, grouplike_vectors)
 
     report = validate_coalgebra(c)
     if not report.ok:
@@ -277,7 +266,10 @@ def gen_sigma_truncation(level: int) -> SigmaTruncation:
     g = find_grouplikes(c, "declared")
     if not check_pointed_exhaustive(c, g):
         raise GeneratedObjectInvalid(f"level {level} truncation is not pointed-exhaustive")
-    return SigmaTruncation(level, c, g, tuple(monos))
+    # t_0^a sends the monomial m to t_0^a * m
+    t0_powers = [(a,) + (0,) * level for a in range(3)]
+    lam = _permutation_matrices(2, [[index[_mono_mul(t, m)] for m in monos] for t in t0_powers])
+    return SigmaTruncation(level, c, g, tuple(monos), lam)
 
 
 def bundle_sigma_regular(level: int) -> ExampleBundle:
@@ -285,25 +277,24 @@ def bundle_sigma_regular(level: int) -> ExampleBundle:
 
 
 def _sigma_regular(tr: SigmaTruncation) -> ExampleBundle:
-    return _regular_bundle(f"sigma_level{tr.level}_id", tr.coalgebra)
+    return _regular_bundle(f"sigma_level{tr.level}_id", tr.coalgebra, tr.left_mults)
 
 
 # -- extended comodules and the negative control ---------------------------------------
 
 
-def gen_extended_comodule(sigma: Coalgebra, a_dim: int, name: str | None = None) -> ExampleBundle:
+def gen_extended_comodule(tr: SigmaTruncation, a_dim: int, name: str | None = None) -> ExampleBundle:
     """M = A (x) Sigma with the cofree coaction id (x) Delta, where A is the
-    augmented algebra k + (nilpotents of square zero) of dimension a_dim.
+    augmented algebra k + (nilpotents of square zero) of dimension a_dim and
+    Sigma is the truncation tr.
 
-    The grouplikes act through Sigma (left multiplication on the right
-    factor), the unit is a_0 (x) 1, and f = eps_A (x) id projects onto Sigma.
-    Requires the product table on sigma so the action matrices exist; M's
-    own product table is not built, so the result's ``product`` is None.
+    The grouplikes act through Sigma (left multiplication tr.left_mults on
+    the right factor), the unit is a_0 (x) 1, and f = eps_A (x) id projects
+    onto Sigma.
     """
     if a_dim < 1:
         raise ParseError(f"the algebra factor must have dimension at least 1, got {a_dim}")
-    g = find_grouplikes(sigma, "declared")
-    lam = _grouplike_left_mults(sigma, g)
+    sigma, g, lam = tr.coalgebra, tr.grouplikes, tr.left_mults
     p = sigma.p
     s = sigma.dim
     m = a_dim * s
@@ -339,7 +330,7 @@ def bundle_extended(level: int, a_dim: int) -> ExampleBundle:
 
 
 def _extended(tr: SigmaTruncation, a_dim: int) -> ExampleBundle:
-    return gen_extended_comodule(tr.coalgebra, a_dim, name=f"extended_a{a_dim}_level{tr.level}")
+    return gen_extended_comodule(tr, a_dim, name=f"extended_a{a_dim}_level{tr.level}")
 
 
 def bundle_negative_control() -> ExampleBundle:

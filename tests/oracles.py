@@ -46,10 +46,20 @@ f(F_k(M)) <= F_k(N), in the form the lemma tests check them.
 ``json.dumps`` used to encode into the certificate text, h unpacked row by
 row.
 
-``extended_product_table`` is the product table of an extended comodule
-M = A (x) Sigma, the m x m table that ``gen_extended_comodule`` used to
-build and that no command reads; the tests attach it to ask the product
-checks of ``validate_comodule_algebra``.
+``left_comodule_report`` checks a left comodule's counit and
+coassociativity, through the shared witness helpers of ``coalgebra``.
+
+The package carries no multiplication table: no command reads one, and
+definition files cannot hold one.  The product tier lives here instead.
+``sigma_product_table`` and ``cyclic_product_table`` are the tables of the
+Sigma truncations (read off the monomial law) and of k[Z/n] (from
+(i + j) mod n); ``extended_product_table`` is the table of an extended
+comodule M = A (x) Sigma.  ``left_mult_matrix`` reads left multiplication
+off a table, the route the generators' lambda_g are held to, and
+``product_tier`` runs the three checks that need M's and Sigma's tables:
+``unit_is_multiplicative_identity``, ``action_is_left_multiplication`` and
+``coaction_is_algebra_map``.  ``validate_with_product_tier`` appends them
+to the checks of ``validate_comodule_algebra``.
 """
 
 from __future__ import annotations
@@ -57,14 +67,23 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterable, Sequence
 
-from comodule_splitter.coalgebra import Coalgebra, Filtration, GroupLikeSet
+from comodule_splitter.coalgebra import (
+    Coalgebra,
+    Filtration,
+    GroupLikeSet,
+    _as_cols,
+    _cofree_witness,
+    _counit_witness,
+)
 from comodule_splitter.comodule import (
     Comodule,
     ComoduleAlgebra,
     ComoduleMap,
+    LeftComodule,
     comodule_filtration,
     comodule_primitives_at,
     comodule_primitives_total,
+    validate_comodule_algebra,
 )
 from comodule_splitter.errors import ShapeError
 from comodule_splitter.field_linalg import (
@@ -78,7 +97,8 @@ from comodule_splitter.field_linalg import (
     image,
     kernel_from_sparse_cols,
 )
-from comodule_splitter.reporting import report_json
+from comodule_splitter.generators import _mono_mul, _sigma_monomials
+from comodule_splitter.reporting import CheckResult, ValidationReport, report_json
 from comodule_splitter.splitting import SplittingCertificate
 
 
@@ -592,11 +612,46 @@ def certificate_doc(cert: SplittingCertificate) -> dict:
     }
 
 
-def extended_product_table(sigma: Coalgebra, a_dim: int) -> tuple:
-    """The product table of M = A (x) Sigma, with A = k + (nilpotents of
-    square zero) of dimension a_dim: (a_i (x) x)(a_j (x) y) is
-    a_{i+j} (x) xy when i or j is 0, and 0 otherwise."""
-    s = sigma.dim
+def left_comodule_report(n: LeftComodule) -> ValidationReport:
+    """Counit and coassociativity; with its tensor slots swapped, N is a
+    right comodule over Sigma with Delta^cop, and psi a map into the
+    cofree comodule N (x) Sigma."""
+    c = n.over
+    swapped = [tuple((b, k, x) for k, b, x in t) for t in n.psi]
+    cop = [tuple((j, i, x) for i, j, x in t) for t in c.delta]
+    checks = []
+    for name, witness in (
+        ("counit", _counit_witness(n.labels, n.psi, c.counit, n.p, keep_slot=1)),
+        ("coassociativity", _cofree_witness(n.labels, swapped, _as_cols(swapped, c.dim), cop, n.p)),
+    ):
+        checks.append(CheckResult(name, witness is None, witness))
+    return ValidationReport("left comodule", tuple(checks))
+
+
+# product[i][j] = the pairs (k, coeff) of e_i * e_j = sum coeff * e_k
+ProductTable = tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
+
+
+def sigma_product_table(level: int) -> ProductTable:
+    """The product table of the level-``level`` Sigma truncation, on the
+    basis of ``gen_sigma_truncation(level).monomials``."""
+    monos = _sigma_monomials(level)
+    index = {m: i for i, m in enumerate(monos)}
+    return tuple(tuple(((index[_mono_mul(m1, m2)], 1),) for m2 in monos) for m1 in monos)
+
+
+def cyclic_product_table(n: int) -> ProductTable:
+    """The product table of k[Z/n] on the basis g^0, ..., g^(n-1)."""
+    return tuple(tuple((((i + j) % n, 1),) for j in range(n)) for i in range(n))
+
+
+def extended_product_table(level: int, a_dim: int) -> ProductTable:
+    """The product table of M = A (x) Sigma over the level-``level`` Sigma
+    truncation, with A = k + (nilpotents of square zero) of dimension a_dim:
+    (a_i (x) x)(a_j (x) y) is a_{i+j} (x) xy when i or j is 0, and 0
+    otherwise."""
+    sigma = sigma_product_table(level)
+    s = len(sigma)
     product = []
     for i in range(a_dim):
         row_i = []
@@ -609,8 +664,86 @@ def extended_product_table(sigma: Coalgebra, a_dim: int) -> tuple:
                         continue
                     a_part = i + j
                     row.append(
-                        tuple((a_part * s + t, c) for t, c in sigma.product[k][l])
+                        tuple((a_part * s + t, c) for t, c in sigma[k][l])
                     )
             row_i.append(tuple(row))
         product.extend(row_i)
     return tuple(product)
+
+
+def product_apply(table: ProductTable, p: int, dim: int, u: Vector, v: Vector) -> tuple[int, ...]:
+    """u * v through the table."""
+    out = [0] * dim
+    for i, ui in enumerate(u):
+        if not ui:
+            continue
+        for j, vj in enumerate(v):
+            if not vj:
+                continue
+            for k, coeff in table[i][j]:
+                out[k] = (out[k] + ui * vj * coeff) % p
+    return tuple(out)
+
+
+def left_mult_matrix(table: ProductTable, p: int, dim: int, u: Vector) -> FieldMatrix:
+    """The matrix of v -> u * v."""
+    basis = FieldMatrix.identity(p, dim).rows_as_lists()
+    return FieldMatrix.from_cols(p, [product_apply(table, p, dim, u, e) for e in basis], nrows=dim)
+
+
+def product_tier(
+    ma: ComoduleAlgebra, product: ProductTable, sigma_product: ProductTable
+) -> tuple[CheckResult, ...]:
+    """The three checks that need M's product table and Sigma's: eta is a
+    two-sided identity, each a_g is left multiplication by a_g(eta), and
+    psi(m_i m_j) = psi(m_i) psi(m_j)."""
+    checks = []
+    p, m = ma.p, ma.dim
+    eta = ma.unit
+    witness = None
+    for j in range(m):
+        basis = tuple(1 if t == j else 0 for t in range(m))
+        left = product_apply(product, p, m, eta, basis)
+        right = product_apply(product, p, m, basis, eta)
+        if left != basis or right != basis:
+            witness = ma.base.labels[j]
+            break
+    checks.append(CheckResult("unit_is_multiplicative_identity", witness is None, witness))
+
+    witness = None
+    for idx in range(len(ma.grouplikes)):
+        g_eta = ma.action[idx].matvec(ma.unit)
+        if ma.action[idx] != left_mult_matrix(product, p, m, g_eta):
+            witness = f"grouplike {idx}"
+            break
+    checks.append(CheckResult("action_is_left_multiplication", witness is None, witness))
+
+    psi = ma.base.psi
+    witness = None
+    for i in range(m):
+        for j in range(m):
+            acc: dict[tuple[int, int], int] = {}
+            for k, coeff in product[i][j]:
+                for a, t, cf in psi[k]:
+                    acc[a, t] = acc.get((a, t), 0) + coeff * cf
+            for a, t, cf in psi[i]:
+                for b, u, cf2 in psi[j]:
+                    for mm, cm in product[a][b]:
+                        for ss, cs in sigma_product[t][u]:
+                            acc[mm, ss] = acc.get((mm, ss), 0) - cf * cf2 * cm * cs
+            if any(x % p for x in acc.values()):
+                witness = f"({ma.base.labels[i]}, {ma.base.labels[j]})"
+                break
+        if witness:
+            break
+    checks.append(CheckResult("coaction_is_algebra_map", witness is None, witness))
+    return tuple(checks)
+
+
+def validate_with_product_tier(
+    ma: ComoduleAlgebra, product: ProductTable, sigma_product: ProductTable
+) -> ValidationReport:
+    """The checks of ``validate_comodule_algebra``, then the 3 of the
+    product tier."""
+    report = validate_comodule_algebra(ma)
+    return ValidationReport(report.subject, report.checks + product_tier(ma, product, sigma_product))

@@ -32,7 +32,6 @@ from comodule_splitter.comodule import (
     comodule_primitives_at,
     comodule_primitives_total,
     cotensor,
-    graded_left_primitives,
     validate_comodule,
     validate_comodule_algebra,
 )
@@ -64,10 +63,13 @@ from oracles import (
     cofree,
     extended_product_table,
     intersect,
+    left_comodule_report,
     multiplicative_witness,
     preimage,
     primitives_cotensor_embedding,
+    product_tier,
     psi_matrix,
+    sigma_product_table,
     staircase_preimage,
     spread_rewrite,
     staircase_sum,
@@ -80,6 +82,16 @@ def _sigma_filt(c):
     return coradical_filtration_wedge(c, find_grouplikes(c, mode))
 
 
+def _graded_left_primitives(
+    ma: ComoduleAlgebra, k: int, sigma_filt: Filtration | None = None
+) -> Subspace:
+    """{v in M : psi(v) in eta (x) F_k + M (x) F_{k-1}}, with F_{-1} = 0: one
+    preimage of the sweep that the star check builds on its source side."""
+    if sigma_filt is None:
+        sigma_filt = coradical_filtration_wedge(ma.sigma, ma.grouplikes)
+    return AdaptedCoaction(ma.base.psi, ma.dim, *adapted_basis(sigma_filt.levels)).preimage(k, ma.unit)
+
+
 def _replace(ma: ComoduleAlgebra, **kw) -> ComoduleAlgebra:
     args = {
         "base": ma.base,
@@ -88,7 +100,6 @@ def _replace(ma: ComoduleAlgebra, **kw) -> ComoduleAlgebra:
         "unit": ma.unit,
         "augmentation": ma.augmentation,
         "sigma_action": ma.sigma_action,
-        "product": ma.product,
     }
     args.update(kw)
     return ComoduleAlgebra(**args)
@@ -114,16 +125,26 @@ def test_dropped_psi_term_is_caught_with_witness():
 
 
 def test_comodule_algebra_validates_on_corpus(corpus):
-    """Every corpus bundle validates; the extended ones with M's product table
-    attached from the oracle, so that all 12 checks run on them too."""
+    """Every corpus bundle passes the 9 checks of validate_comodule_algebra;
+    those over a Sigma truncation also pass the 3 of the oracle product
+    tier, with M's and Sigma's tables from the oracle."""
+    levels = {3: 0, 12: 1, 48: 2}
+    tiered = 0
     for bundle in corpus:
         ma = bundle.comodule_algebra
-        if bundle.name.startswith("extended_"):
-            a_dim = ma.dim // bundle.coalgebra.dim
-            ma = _replace(ma, product=extended_product_table(bundle.coalgebra, a_dim))
         report = validate_comodule_algebra(ma)
         assert report.ok, (bundle.name, [x.name for x in report.failures()])
-        assert len(report.checks) == (9 if ma.product is None else 12), bundle.name
+        assert len(report.checks) == 9, bundle.name
+        if bundle.coalgebra.dim in levels:
+            level, a_dim = levels[bundle.coalgebra.dim], ma.dim // bundle.coalgebra.dim
+            tier = product_tier(ma, extended_product_table(level, a_dim), sigma_product_table(level))
+            assert [c.name for c in tier if c.passed] == [
+                "unit_is_multiplicative_identity",
+                "action_is_left_multiplication",
+                "coaction_is_algebra_map",
+            ], bundle.name
+            tiered += 1
+    assert tiered == 8
 
 
 # -- targeted comodule-algebra mutations -----------------------------------------------
@@ -154,7 +175,7 @@ def test_mutation_identity_acting_nontrivially():
     action = list(ma.action)
     other = (w + 1) % len(action)
     action[w], action[other] = action[other], action[w]
-    names = _failing_names(_replace(ma, action=tuple(action), sigma_action=None, product=None))
+    names = _failing_names(_replace(ma, action=tuple(action), sigma_action=None))
     assert "identity_acts_trivially" in names
 
 
@@ -162,7 +183,7 @@ def test_mutation_singular_action():
     ma = bundle_sigma_regular(0).comodule_algebra
     action = list(ma.action)
     action[1] = FieldMatrix.zeros(ma.p, ma.dim, ma.dim)
-    names = _failing_names(_replace(ma, action=tuple(action), sigma_action=None, product=None))
+    names = _failing_names(_replace(ma, action=tuple(action), sigma_action=None))
     assert "action_invertible" in names
 
 
@@ -172,7 +193,7 @@ def test_mutation_grouplike_drift():
     ma = bundle_sigma_regular(0).comodule_algebra
     action = list(ma.action)
     action[1] = FieldMatrix.identity(ma.p, ma.dim)
-    names = _failing_names(_replace(ma, action=tuple(action), sigma_action=None, product=None))
+    names = _failing_names(_replace(ma, action=tuple(action), sigma_action=None))
     assert "grouplikes_stay_grouplike" in names
 
 
@@ -181,7 +202,7 @@ def test_mutation_action_not_closed():
     ma = bundle_sigma_regular(0).comodule_algebra
     rogue = FieldMatrix(2, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
     action = (ma.action[0], rogue, ma.action[2])
-    names = _failing_names(_replace(ma, action=action, sigma_action=None, product=None))
+    names = _failing_names(_replace(ma, action=action, sigma_action=None))
     assert "action_closed_under_composition" in names
 
 
@@ -190,16 +211,15 @@ def test_mutation_sigma_action_group_law():
     assert ma.sigma_action is not None
     sa = list(ma.sigma_action)
     sa[1], sa[2] = sa[2], sa[1]
-    names = _failing_names(_replace(ma, sigma_action=tuple(sa), product=None))
+    names = _failing_names(_replace(ma, sigma_action=tuple(sa)))
     assert {"coaction_multiplicative", "action_follows_group_law"} & names
 
 
 def test_mutation_product_unit():
     ma = bundle_sigma_regular(0).comodule_algebra
-    assert ma.product is not None
     # a product that is identically zero cannot have eta as its identity
     zero_product = tuple(tuple(() for _ in range(ma.dim)) for _ in range(ma.dim))
-    names = _failing_names(_replace(ma, product=zero_product))
+    names = {c.name for c in product_tier(ma, zero_product, sigma_product_table(0)) if not c.passed}
     assert "unit_is_multiplicative_identity" in names
 
 
@@ -270,7 +290,7 @@ def test_coassociativity_verdicts_match_the_literal_loops(corpus, base_seed):
         for n in lefts:
             for n2 in [n] + [dataclasses.replace(n, psi=_bump_triples(rng, p, n.psi, s, n.dim))
                              for _ in range(3)]:
-                witness = _check(n2.validate(), "coassociativity")
+                witness = _check(left_comodule_report(n2), "coassociativity")
                 assert witness == coassociativity_witness(n2.labels, n2.psi, sigma.delta, n2.psi, p), b.name
                 failed += witness is not None
     assert failed >= 100
@@ -288,8 +308,6 @@ def test_multiplicativity_verdicts_match_the_dense_check(corpus, base_seed):
         ma = b.comodule_algebra
         if ma is None:
             continue
-        # the product table checks are slow at this size and ignore lambda and a
-        ma = _replace(ma, product=None)
         cases = [ma]
         for _ in range(3):
             idx = rng.randrange(len(ma.action))
@@ -411,9 +429,9 @@ def test_comodule_primitives_extended():
 
 
 def test_graded_left_primitive_dims_frozen():
-    assert [graded_left_primitives(bundle_sigma_regular(0).comodule_algebra, k).dim
+    assert [_graded_left_primitives(bundle_sigma_regular(0).comodule_algebra, k).dim
             for k in (0, 1)] == [1, 3]
-    assert [graded_left_primitives(bundle_sigma_regular(1).comodule_algebra, k).dim
+    assert [_graded_left_primitives(bundle_sigma_regular(1).comodule_algebra, k).dim
             for k in (0, 1, 2)] == [1, 5, 10]
 
 
@@ -575,7 +593,7 @@ def test_staircase_preimages_match_the_literal_route(corpus, base_seed):
         sigma_sweep = AdaptedCoaction(sigma.delta, sigma.dim, *adapted_basis(filt.levels))
         for k in range(filt.top + 1):
             below, at = filt.level(k - 1), filt.level(k)
-            assert graded_left_primitives(ma, k, filt) == _literal_preimage(
+            assert _graded_left_primitives(ma, k, filt) == _literal_preimage(
                 psi, [(full_m, below), (eta, at)]
             )
             assert sigma_sweep.preimage(k, w) == _literal_preimage(
@@ -661,7 +679,7 @@ def test_sweep_matches_the_staircase_route_on_the_sigma_side(corpus):
 
 
 def test_graded_views_and_star_read_the_same_sweep(corpus):
-    """graded_left_primitives is a view of AdaptedCoaction, and the star
+    """The graded left primitives are one sweep's preimages, and the star
     report's dimensions are those of the two sweeps."""
     for ma in _sweep_algebras(corpus)[-5:]:
         filt = coradical_filtration_wedge(ma.sigma, ma.grouplikes)
@@ -672,7 +690,7 @@ def test_graded_views_and_star_read_the_same_sweep(corpus):
         f = ComoduleMap(ma.base, Comodule.regular(ma.sigma), FieldMatrix.zeros(ma.p, ma.sigma.dim, ma.dim))
         levels = check_star_surjective(ma, f, sigma_filt=filt).levels
         for k in range(filt.top + 1):
-            assert graded_left_primitives(ma, k, filt) == source.preimage(k, ma.unit)
+            assert _graded_left_primitives(ma, k, filt) == source.preimage(k, ma.unit)
             assert levels[k].source_dim == source.preimage(k, ma.unit).dim
             assert levels[k].target_dim == target.preimage(k, w).dim
 
@@ -748,7 +766,7 @@ def test_star_levels_match_the_literal_coverage_test(base_seed):
                 strict = check_star_surjective(ma, f, strict=True, sigma_filt=filt)
                 for k, result in enumerate(report.levels):
                     target = sweep.preimage(k, w)
-                    img = image(f.matrix, graded_left_primitives(ma, k, filt))
+                    img = image(f.matrix, _graded_left_primitives(ma, k, filt))
                     below = filt.level(k - 1)
                     outside += not target.contains_subspace(below)
                     differs += result.ok != strict.levels[k].ok
@@ -877,7 +895,7 @@ def test_left_comodule_constructors_validate():
     for n in (LeftComodule.regular(sigma),
               LeftComodule.coradical(sigma, g),
               LeftComodule.grouplike_line(sigma, g.vectors[1])):
-        n.validate()
+        assert left_comodule_report(n).ok
 
 
 def test_left_comodule_validate_names_its_witnesses():
@@ -888,7 +906,7 @@ def test_left_comodule_validate_names_its_witnesses():
 
     def checks(psi_b):
         n = LeftComodule(sigma, 2, ("a", "b"), (((1, 0, 1),), psi_b))
-        return {c.name: (c.passed, c.witness) for c in n.validate().checks}
+        return {c.name: (c.passed, c.witness) for c in left_comodule_report(n).checks}
 
     # psi(b) = e0 (x) b: an honest left comodule.
     assert checks(((0, 1, 1),)) == {"counit": (True, None), "coassociativity": (True, None)}

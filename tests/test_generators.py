@@ -3,7 +3,6 @@ truncations, gate behavior on bad requests, the extended comodules, the
 negative control, and the randomized pointed coalgebras.
 """
 
-import dataclasses
 import hashlib
 
 import pytest
@@ -12,7 +11,6 @@ from comodule_splitter import (
     Comodule,
     FieldMatrix,
     ParseError,
-    StructureMismatch,
     UnsupportedLevel,
     check_pointed_exhaustive,
     coradical_filtration_direct,
@@ -25,6 +23,7 @@ from comodule_splitter import (
 from comodule_splitter.generators import (
     bundle_extended,
     bundle_negative_control,
+    bundle_sigma_regular,
     gen_binomial_truncation,
     gen_extended_comodule,
     gen_group_algebra,
@@ -33,7 +32,13 @@ from comodule_splitter.generators import (
     gen_sigma_truncation,
     shipped_corpus,
 )
-from oracles import extended_product_table
+from oracles import (
+    cyclic_product_table,
+    extended_product_table,
+    left_mult_matrix,
+    sigma_product_table,
+    validate_with_product_tier,
+)
 
 CORPUS_EXPECTATIONS = {
     "binomial_2_4_id": "certified",
@@ -81,9 +86,10 @@ def test_level1_structure_constants_by_hand():
     assert set(c.delta[3]) == {(0, 3, 1), (3, 0, 1)}
     assert set(c.delta[4]) == {(1, 4, 1), (4, 1, 1)}
     assert c.counit == (1, 1, 1) + (0,) * 9
-    # Relations in the product table: t0^3 = 1 and t1^4 = t1.
-    assert c.product[2][1] == ((0, 1),)
-    assert c.product[9][3] == ((3, 1),)
+    # Relations in the oracle's product table: t0^3 = 1 and t1^4 = t1.
+    product = sigma_product_table(1)
+    assert product[2][1] == ((0, 1),)
+    assert product[9][3] == ((3, 1),)
 
 
 def test_level2_diagonal_of_the_new_generator():
@@ -133,7 +139,7 @@ def test_binomial_bundle_shape():
     b = gen_binomial_truncation(3, 5)
     assert b.name == "binomial_3_5_id"
     assert b.coalgebra.dim == 5
-    assert b.coalgebra.product is None
+    assert not hasattr(b.coalgebra, "product")
     assert len(b.grouplikes) == 1
     assert validate_coalgebra(b.coalgebra).ok
     assert validate_comodule_algebra(b.comodule_algebra).ok
@@ -146,7 +152,7 @@ def test_binomial_bundle_shape():
 
 def test_extended_comodule_is_cofree():
     tr = gen_sigma_truncation(0)
-    b = gen_extended_comodule(tr.coalgebra, 2)
+    b = gen_extended_comodule(tr, 2)
     assert b.name == "extended_a2"
     ma = b.comodule_algebra
     s = tr.coalgebra.dim
@@ -164,10 +170,8 @@ def test_extended_comodule_is_cofree():
         [0, 0, 1, 0, 0, 0],
     ]
     assert validate_comodule(ma.base).ok
-    assert ma.product is None
-    report = validate_comodule_algebra(
-        dataclasses.replace(ma, product=extended_product_table(tr.coalgebra, 2))
-    )
+    assert not hasattr(ma, "product")
+    report = validate_with_product_tier(ma, extended_product_table(0, 2), sigma_product_table(0))
     assert report.ok and len(report.checks) == 12
 
 
@@ -182,9 +186,8 @@ EXTENDED_PRODUCT_SHA256 = {
 
 def test_extended_bundles_carry_no_product_table():
     ma = bundle_extended(1, 3).comodule_algebra
-    assert ma.product is None
-    sigma = gen_sigma_truncation(2).coalgebra
-    assert gen_extended_comodule(sigma, 2).comodule_algebra.product is None
+    assert not hasattr(ma, "product")
+    assert not hasattr(gen_extended_comodule(gen_sigma_truncation(2), 2).comodule_algebra, "product")
     report = validate_comodule_algebra(ma)
     assert report.ok and len(report.checks) == 9
 
@@ -192,23 +195,23 @@ def test_extended_bundles_carry_no_product_table():
 @pytest.mark.parametrize("level, a_dim", sorted(EXTENDED_PRODUCT_SHA256))
 def test_the_product_tier_passes_on_extended_bundles(level, a_dim):
     b = bundle_extended(level, a_dim)
-    table = extended_product_table(b.coalgebra, a_dim)
+    table = extended_product_table(level, a_dim)
     assert hashlib.sha256(repr(table).encode()).hexdigest() == EXTENDED_PRODUCT_SHA256[level, a_dim]
-    report = validate_comodule_algebra(dataclasses.replace(b.comodule_algebra, product=table))
+    report = validate_with_product_tier(b.comodule_algebra, table, sigma_product_table(level))
     assert report.ok and len(report.checks) == 12
 
 
 def test_one_edited_product_cell_fails_the_product_tier():
     b = bundle_extended(1, 3)
-    table = extended_product_table(b.coalgebra, 3)
+    table = extended_product_table(1, 3)
     labels = b.comodule_algebra.base.labels
     t0, t1 = labels.index("t0"), labels.index("t1")
 
     def failing_with(i, j, cell):
         rows = [list(row) for row in table]
         rows[i][j] = cell
-        ma = dataclasses.replace(b.comodule_algebra, product=tuple(map(tuple, rows)))
-        return {c.name for c in validate_comodule_algebra(ma).failures()}
+        report = validate_with_product_tier(b.comodule_algebra, tuple(map(tuple, rows)), sigma_product_table(1))
+        return {c.name for c in report.failures()}
 
     # t0 * t1 is a column of the action of t0, which the edit leaves alone.
     assert "action_is_left_multiplication" in failing_with(t0, t1, ())
@@ -216,12 +219,64 @@ def test_one_edited_product_cell_fails_the_product_tier():
     assert failing_with(t1, t1, ()) == {"coaction_is_algebra_map"}
 
 
-def test_extended_comodule_needs_a_product_table():
-    plain = gen_binomial_truncation(2, 4).coalgebra
-    with pytest.raises(StructureMismatch):
-        gen_extended_comodule(plain, 2)
+# sha256 of repr(table) for the oracle product tables, equal to the tables
+# that gen_sigma_truncation and gen_group_algebra attached before the
+# generators stopped building them.
+SIGMA_PRODUCT_SHA256 = {
+    0: "e999fb6f173090fa8954b8566e998bd0df1c743287f795fa6ffa538bd60c1eef",
+    1: "2059b4d7494fb0c64d818c048d231a88ea84e7f0e042ef03d355a7a261767432",
+    2: "fb6a1f9cb8d90977e607067431ac64424c17aa9faf58a88bbea8702f6262fc56",
+}
+CYCLIC_PRODUCT_SHA256 = {
+    4: "796e061f2aa226dd084e9056cb1e6c5f2b8d8b52cca61fb2744c246c7e0cd2f5",
+    5: "64996122f9adc37e958c776be17a880d388a7cb568e8b6be9794b68e9a0aa2ff",
+}
+
+
+def _sha256_repr(table) -> str:
+    return hashlib.sha256(repr(table).encode()).hexdigest()
+
+
+def test_oracle_product_tables_are_pinned():
+    for level, digest in SIGMA_PRODUCT_SHA256.items():
+        assert _sha256_repr(sigma_product_table(level)) == digest, level
+    for n, digest in CYCLIC_PRODUCT_SHA256.items():
+        assert _sha256_repr(cyclic_product_table(n)) == digest, n
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_sigma_left_mults_are_left_multiplication(level):
+    """Each lambda_g of a Sigma truncation, built from the monomial law, is
+    left multiplication by g read off the oracle table, and the regular
+    bundle acts by it on both sides; with both tables attached, the
+    regular bundle passes all 12 checks."""
+    tr = gen_sigma_truncation(level)
+    table = sigma_product_table(level)
+    c = tr.coalgebra
+    assert tr.left_mults == tuple(left_mult_matrix(table, 2, c.dim, g) for g in tr.grouplikes)
+    ma = bundle_sigma_regular(level).comodule_algebra
+    assert ma.action == ma.sigma_action == tr.left_mults
+    report = validate_with_product_tier(ma, table, table)
+    assert report.ok and len(report.checks) == 12
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_group_algebra_left_mults_are_left_multiplication(p, n):
+    """lambda_(g^i) of k[Z/n], built from (i + j) mod n, is left
+    multiplication read off the oracle table; the bundle passes all 12
+    checks with that table on M and on Sigma."""
+    ma = gen_group_algebra(p, n).comodule_algebra
+    table = cyclic_product_table(n)
+    assert ma.sigma_action == tuple(left_mult_matrix(table, p, n, g) for g in ma.grouplikes)
+    assert ma.action == ma.sigma_action
+    report = validate_with_product_tier(ma, table, table)
+    assert report.ok and len(report.checks) == 12
+
+
+def test_extended_comodule_refuses_an_empty_algebra_factor():
     with pytest.raises(ParseError):
-        gen_extended_comodule(gen_sigma_truncation(0).coalgebra, 0)
+        gen_extended_comodule(gen_sigma_truncation(0), 0)
 
 
 # -- the negative control -------------------------------------------------------------

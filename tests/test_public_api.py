@@ -1,10 +1,12 @@
-"""The package's public surface: the exact ``__all__``, and no tensor-sum
-routine left in ``src/``.
+"""The package's public surface: the exact ``__all__``, the fields of the
+structure dataclasses, and no tensor-sum routine left in ``src/``.
 
 The literal tensor-sum routines are test oracles (``tests/oracles.py``);
 the pipeline reads every filtration layer off ``AdaptedCoaction`` instead.
+So is the product tier: no structure carries a multiplication table.
 """
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -62,7 +64,6 @@ PUBLIC_NAMES = [
     "gen_non_pointed",
     "gen_random_pointed",
     "gen_sigma_truncation",
-    "graded_left_primitives",
     "is_grouplike",
     "primitives_at",
     "recheck_certificate",
@@ -80,7 +81,7 @@ def test_public_surface_is_pinned():
     """``__all__`` is exactly the pinned list, sorted, and every name in it
     resolves; no module or class of the package defines a tensor-sum
     oracle."""
-    assert len(PUBLIC_NAMES) == 59
+    assert len(PUBLIC_NAMES) == 58
     assert comodule_splitter.__all__ == sorted(PUBLIC_NAMES)
     for name in comodule_splitter.__all__:
         assert getattr(comodule_splitter, name) is not None, name
@@ -95,3 +96,18 @@ def test_public_surface_is_pinned():
         for owner in [module] + classes:
             found = [name for name in ORACLE_NAMES if hasattr(owner, name)]
             assert not found, (owner, found)
+
+
+FIELD_NAMES = {
+    "Coalgebra": ("p", "dim", "labels", "delta", "counit", "declared_grouplikes"),
+    "ComoduleAlgebra": ("base", "grouplikes", "action", "unit", "augmentation", "sigma_action"),
+    "SigmaTruncation": ("level", "coalgebra", "grouplikes", "monomials", "left_mults"),
+}
+
+
+def test_structure_fields_are_pinned():
+    """No structure carries a product table; a Sigma truncation carries
+    left multiplication by its grouplikes."""
+    for name, fields in FIELD_NAMES.items():
+        cls = getattr(comodule_splitter, name)
+        assert tuple(f.name for f in dataclasses.fields(cls)) == fields, name

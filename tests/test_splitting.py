@@ -310,7 +310,7 @@ def test_phi_inverse_rejects_singular_action(corpus):
     bundles = {b.name: b for b in corpus}
     ma = bundles["sigma_level0_id"].comodule_algebra
     bad_action = (ma.action[0], FieldMatrix.zeros(ma.p, ma.dim, ma.dim), ma.action[2])
-    broken = dataclasses.replace(ma, action=bad_action, sigma_action=None, product=None)
+    broken = dataclasses.replace(ma, action=bad_action, sigma_action=None)
     with pytest.raises(ActionNotInvertible):
         build_h(broken, bundles["sigma_level0_id"].splitting_map, force=True)
 
@@ -319,7 +319,7 @@ def test_phi_inverse_rejects_collapsed_decomposition(corpus):
     bundles = {b.name: b for b in corpus}
     ma = bundles["sigma_level0_id"].comodule_algebra
     ident = FieldMatrix.identity(ma.p, ma.dim)
-    lazy = dataclasses.replace(ma, action=(ident, ident, ident), sigma_action=None, product=None)
+    lazy = dataclasses.replace(ma, action=(ident, ident, ident), sigma_action=None)
     with pytest.raises(DecompositionFails):
         build_h(lazy, bundles["sigma_level0_id"].splitting_map, force=True)
 
@@ -331,7 +331,7 @@ def test_phi_inverse_rejects_an_image_off_the_primitives(corpus, base_seed):
     ma = b.comodule_algebra
     rng = random.Random(base_seed + 61)
     action = (ma.action[0], *(_random_invertible(rng, ma.p, ma.dim) for _ in ma.action[1:]))
-    moved = dataclasses.replace(ma, action=action, sigma_action=None, product=None)
+    moved = dataclasses.replace(ma, action=action, sigma_action=None)
     with pytest.raises(DecompositionFails, match="P\\(M\\) is not contained in the image of phi"):
         build_h(moved, b.splitting_map, force=True)
 
