@@ -9,18 +9,19 @@ Everything downstream of the coalgebra layer lives here: the induced
 filtration F_k(M) = psi^{-1}(M (x) F_k), primitives at a grouplike,
 the total primitives with their certified decomposition, cotensor
 products against small left comodules, and the star-surjectivity report
-that gates the splitting engine.  The filtration and both sides of the
-graded primitives are read off one ``AdaptedCoaction``: psi (or Delta)
-rewritten once with its Sigma factor in a basis adapted to the filtration
-of Sigma, where every level is a kernel of shifted and masked columns.  The star check rewrites psi and Delta once
-each for all its levels, and F_0(M) = psi^{-1}(M (x) span(g)) is the one
-level of the filtration span(g) of Sigma.  No tensor sum, psi matrix or
-staircase proof is built for any of them.
+that gates the splitting engine.  The filtration, both sides of the
+graded primitives and every P_g(M) are read off an ``AdaptedCoaction``:
+psi (or Delta) rewritten once with its Sigma factor in a basis adapted to
+a filtration of Sigma, where every level is a kernel of shifted and masked
+columns and P_g(M) the kernel of the columns less v (x) g.  The star check
+rewrites psi and Delta once each for all its levels; the total primitives
+rewrite psi once, in a basis adapted to span(g), for every P_g(M) and F_0(M).
+No tensor sum, psi matrix or staircase proof is built for any of them.
 
 Every check that a matrix intertwines two coactions is one call of
 ``coalgebra._coaction_residual``: the map residual, coassociativity (psi
-into the cofree M (x) Sigma), psi(v) = v (x) g, P_g(M), and
-``coaction_along``, its first half.
+into the cofree M (x) Sigma), psi(v) = v (x) g, and ``coaction_along``,
+its first half.
 
 A ComoduleAlgebra packages the extra structure the splitting theorem
 needs: an action of the grouplikes by invertible matrices, a unit vector
@@ -37,7 +38,6 @@ to g-primitives).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .coalgebra import (
     Coalgebra,
@@ -102,11 +102,6 @@ class Comodule:
     @property
     def p(self) -> int:
         return self.over.p
-
-    @cached_property
-    def _primitives(self) -> dict[tuple[int, ...], Subspace]:
-        """P_g(M) by grouplike, filled by comodule_primitives_at."""
-        return {}
 
     def coaction_along(self, a: FieldMatrix) -> list[dict[int, int]]:
         """(a (x) id_Sigma) . psi as sparse columns of integer sums, reduced by
@@ -307,13 +302,7 @@ def validate_comodule_algebra(ma: ComoduleAlgebra) -> ValidationReport:
         ident = FieldMatrix.identity(p, m)
         checks.append(CheckResult("identity_acts_trivially", ma.action[w_idx] == ident))
 
-    witness = None
-    for idx, a in enumerate(ma.action):
-        try:
-            a.inverse()
-        except ShapeError:
-            if witness is None:
-                witness = f"grouplike {idx}"
+    witness = next((f"grouplike {idx}" for idx, a in enumerate(ma.action) if a.rank() < m), None)
     checks.append(CheckResult("action_invertible", witness is None, witness))
 
     witness = None
@@ -396,22 +385,12 @@ def comodule_filtration(m: Comodule, f: Filtration) -> Filtration:
 
 
 def comodule_primitives_at(m: Comodule, g: Vector) -> Subspace:
-    """P_g(M) = kernel of v -> psi(v) - v (x) g, computed once per grouplike
-    and comodule."""
-    p = m.p
-    gv = tuple(x % p for x in g)
-    known = m._primitives.get(gv)
-    if known is not None:
-        return known
+    """P_g(M) = kernel of v -> psi(v) - v (x) g, read off psi with its Sigma
+    factor in the standard coordinates, which need no inverse."""
     if not is_grouplike(m.over, g):
         raise NotGrouplike(f"{list(g)} is not grouplike")
-    # P_g(M) is where the identity maps the coaction v -> v (x) g to psi.
-    support = [(k, x) for k, x in enumerate(gv) if x]
-    line = [tuple((i, k, x) for k, x in support) for i in range(m.dim)]
-    ident = [{i: 1} for i in range(m.dim)]
-    pg = kernel_from_sparse_cols(p, m.dim, _coaction_residual(m.over.dim, line, ident, m.psi))
-    m._primitives[gv] = pg
-    return pg
+    n = m.over.dim
+    return AdaptedCoaction(m.psi, m.dim, FieldMatrix.identity(m.p, n), (n,)).primitives(g)
 
 
 def comodule_primitives_total(
@@ -419,16 +398,22 @@ def comodule_primitives_total(
 ) -> tuple[Subspace, PrimitivesReport]:
     """P(M) = sum of the P_g(M), certified direct and equal to F_0(M).
 
-    Raises DecompositionFails when the certificate does not hold; on valid
-    input that cannot happen, so a raise flags a broken comodule.
+    Every P_g(M) and F_0(M) are read off one rewrite of psi in a basis
+    adapted to span(g).  Raises DecompositionFails when the certificate does
+    not hold; on valid input that cannot happen, so a raise flags a broken
+    comodule.
     """
+    for vec in g:
+        if not is_grouplike(m.over, vec):
+            raise NotGrouplike(f"{list(vec)} is not grouplike")
+    sweep = AdaptedCoaction(m.psi, m.dim, *adapted_basis([g.span()]))
     total = Subspace.zero(m.p, m.dim)
     dims = []
     for vec in g:
-        pg = comodule_primitives_at(m, vec)
+        pg = sweep.primitives(vec)
         dims.append(pg.dim)
         total = total.add(pg)
-    f0 = AdaptedCoaction(m.psi, m.dim, g.span().quotient_matrix().transpose(), (0,)).preimage(0)
+    f0 = sweep.preimage(0)
     report = PrimitivesReport(
         total_dim=total.dim,
         per_grouplike_dims=tuple(dims),

@@ -25,9 +25,9 @@ depends on p.  ``inverse`` is ``solve`` against the identity, ``image`` is a
 product with the transpose, and ``kernel_from_sparse_cols`` is the one
 kernel routine.  ``AdaptedCoaction.preimage`` is the one preimage of a
 tensor sum: it reads every filtration layer, the wedge levels included, off
-the coaction triples, and no tensor sum is built.  Only this module reads
-the internal row format, apart from the bitmask grouplike search in
-``coalgebra``.
+the coaction triples, and no tensor sum is built; ``primitives`` reads each
+P_g off the same rewrite.  Only this module reads the internal row format,
+apart from the bitmask grouplike search in ``coalgebra``.
 
 Tensor index convention used by the whole package: the basis vector
 e_i (x) e_j of F^m (x) F^n sits at position i * n + j.  ``FieldMatrix.kron``
@@ -755,12 +755,13 @@ class AdaptedCoaction:
     ``Coalgebra.delta`` do.  Column i holds psi(e_i) with the component at
     e_a (x) b_j at index j * left_dim + a: over F_2 as a packed int, over
     odd p as a dict.  Every preimage of a filtration layer is then a kernel
-    of shifted and masked columns, with no tensor sum or staircase proof.
+    of shifted and masked columns, and every primitive layer a kernel of
+    the columns less one line each, with no tensor sum or staircase proof.
     """
 
     def __init__(self, coaction, left_dim: int, coords: FieldMatrix, dims: Sequence[int]):
         p, width = coords.p, left_dim
-        self.p, self.left_dim, self.dims = p, left_dim, tuple(dims)
+        self.p, self.left_dim, self.coords, self.dims = p, left_dim, coords, tuple(dims)
         cols: list = []
         if p == 2:
             # One bit per term: shifting a one-word int by a large index is
@@ -841,4 +842,20 @@ class AdaptedCoaction:
                         for a, y in scaled:
                             out[base + a] = out.get(base + a, 0) - x * y
                 cols.append(out)
+        return kernel_from_sparse_cols(p, len(self._cols), cols)
+
+    def primitives(self, g: Vector) -> Subspace:
+        """{v : psi(v) = v (x) g}, the kernel of the columns less e_i (x) g,
+        whose entries sit at j * left_dim + i for the b-coordinates j of g.
+        A kernel does not depend on the coordinates of its target, so this is
+        exact for any coaction, counital or not."""
+        p, width = self.p, self.left_dim
+        gb = (FieldMatrix(p, [g]) @ self.coords).row(0)
+        if p == 2:
+            line = sum(1 << (j * width) for j, x in enumerate(gb) if x)
+            cols = [c ^ (line << i) for i, c in enumerate(self._cols)]
+        else:
+            # kernel_from_sparse_cols reduces the entries mod p.
+            line = [(j * width, x) for j, x in enumerate(gb) if x]
+            cols = [c | {key + i: c.get(key + i, 0) - x for key, x in line} for i, c in enumerate(self._cols)]
         return kernel_from_sparse_cols(p, len(self._cols), cols)

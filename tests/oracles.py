@@ -49,6 +49,10 @@ row.
 ``left_comodule_report`` checks a left comodule's counit and
 coassociativity, through the shared witness helpers of ``coalgebra``.
 
+``primitives_by_residual`` is P_g(M) as the kernel of the residual of the
+identity from the coaction v -> v (x) g to psi, the route the library took
+before it read every P_g(M) off an ``AdaptedCoaction``.
+
 The package carries no multiplication table: no command reads one, and
 definition files cannot hold one.  The product tier lives here instead.
 ``sigma_product_table`` and ``cyclic_product_table`` are the tables of the
@@ -72,6 +76,7 @@ from comodule_splitter.coalgebra import (
     Filtration,
     GroupLikeSet,
     _as_cols,
+    _coaction_residual,
     _cofree_witness,
     _counit_witness,
 )
@@ -595,6 +600,16 @@ def spread_rewrite(coaction, left_dim: int, coords: FieldMatrix) -> list[int]:
                 col ^= spread[k] << a
         cols.append(col)
     return cols
+
+
+def primitives_by_residual(m: Comodule, g: Vector) -> Subspace:
+    """P_g(M), the kernel of v -> psi(v) - v (x) g, through the generic
+    residual of the identity map from the coaction v -> v (x) g to psi."""
+    p = m.p
+    support = [(k, y) for k, x in enumerate(g) if (y := x % p)]
+    line = [tuple((i, k, y) for k, y in support) for i in range(m.dim)]
+    ident = [{i: 1} for i in range(m.dim)]
+    return kernel_from_sparse_cols(p, m.dim, _coaction_residual(m.over.dim, line, ident, m.psi))
 
 
 def certificate_doc(cert: SplittingCertificate) -> dict:

@@ -36,6 +36,7 @@ from comodule_splitter.comodule import (
     validate_comodule_algebra,
 )
 from comodule_splitter.errors import (
+    DecompositionFails,
     NotAComoduleMap,
     NotASubcoalgebra,
     ShapeError,
@@ -66,6 +67,7 @@ from oracles import (
     left_comodule_report,
     multiplicative_witness,
     preimage,
+    primitives_by_residual,
     primitives_cotensor_embedding,
     product_tier,
     psi_matrix,
@@ -426,6 +428,52 @@ def test_comodule_primitives_extended():
     total, report = comodule_primitives_total(ma.base, ma.grouplikes)
     assert report.total_dim == 6
     assert tuple(report.per_grouplike_dims) == (2, 2, 2)
+
+
+def _edit_psi(rng, p, psi, m_dim, s_dim):
+    """psi with one to three triples dropped, added or altered."""
+    rows = [list(row) for row in psi]
+    for _ in range(rng.randint(1, 3)):
+        row = rows[rng.randrange(len(rows))]
+        kind = rng.choice(("drop", "add", "alter")) if row else "add"
+        if kind == "add":
+            row.append((rng.randrange(m_dim), rng.randrange(s_dim), rng.randrange(1, p)))
+        elif kind == "drop":
+            row.pop(rng.randrange(len(row)))
+        else:
+            j = rng.randrange(len(row))
+            a, k, c = row[j]
+            row[j] = (a, k, c + rng.randrange(1, p))
+    return tuple(tuple(row) for row in rows)
+
+
+def test_primitives_match_the_residual_oracle_under_psi_edits(corpus, base_seed, monkeypatch):
+    """Every P_g(M) read off an AdaptedCoaction, by comodule_primitives_at
+    and inside comodule_primitives_total, is the kernel of the generic
+    residual: on every shipped comodule, binomial_3_9, binomial_5_25 and
+    group_algebra_3_3, and on seeded edits of their psi that drop, add or
+    alter triples, many of them not counital."""
+    rng = random.Random(base_seed + 19)
+    inside = []
+    real = AdaptedCoaction.primitives
+    monkeypatch.setattr(AdaptedCoaction, "primitives", lambda self, g: inside.append(real(self, g)) or inside[-1])
+    bundles = [*corpus, gen_binomial_truncation(3, 9), gen_binomial_truncation(5, 25), gen_group_algebra(3, 3)]
+    edits = non_counital = 0
+    for b in bundles:
+        m, g = b.comodule_algebra.base, b.comodule_algebra.grouplikes
+        edited = [dataclasses.replace(m, psi=_edit_psi(rng, m.p, m.psi, m.dim, m.over.dim)) for _ in range(50)]
+        for m2 in [m, *edited]:
+            expected = [primitives_by_residual(m2, vec) for vec in g]
+            assert [comodule_primitives_at(m2, vec) for vec in g] == expected, b.name
+            inside.clear()
+            try:
+                comodule_primitives_total(m2, g)
+            except DecompositionFails:
+                pass
+            assert inside == expected, b.name
+        edits += len(edited)
+        non_counital += sum(_check(validate_comodule(m2), "counit") is not None for m2 in edited)
+    assert non_counital >= edits // 2
 
 
 def test_graded_left_primitive_dims_frozen():

@@ -24,12 +24,14 @@ from comodule_splitter import (
     HypothesisNotMet,
     Subspace,
     build_h,
+    comodule_primitives_at,
     comodule_primitives_total,
     recheck_certificate,
     validate_comodule_algebra,
     verify_theorem_on_corpus,
 )
 from comodule_splitter import field_linalg
+from comodule_splitter.coalgebra import GroupLikeSet, change_basis
 from comodule_splitter.definitions import load_certificate
 from comodule_splitter.reporting import CheckResult, report_json
 from comodule_splitter.generators import (
@@ -45,6 +47,7 @@ from oracles import (
     cofree,
     greedy_retraction,
     h_by_phi_solve,
+    primitives_by_residual,
     psi_matrix,
     residual_witness_by_cofree,
 )
@@ -171,6 +174,24 @@ def _conjugate(ma, f, t):
     )
     f2 = ComoduleMap(base, f.target, f.matrix @ t)
     return ma2, f2
+
+
+def _sigma_in_basis(ma, f, t):
+    """The same comodule algebra and map with Sigma written in the basis of
+    the columns of t: psi's right factor, f, the grouplikes and lambda_g move
+    with Sigma, and M keeps its basis."""
+    t_inv = t.inverse()
+    sigma = change_basis(ma.sigma, t)
+    moved = t_inv.sparse_cols()
+    psi = tuple(tuple((a, j, c * x) for a, k, c in row for j, x in moved[k].items()) for row in ma.base.psi)
+    base = Comodule(sigma, ma.dim, ma.base.labels, psi)
+    ma2 = dataclasses.replace(
+        ma,
+        base=base,
+        grouplikes=GroupLikeSet(ma.p, sigma.dim, tuple(t_inv.matvec(g) for g in ma.grouplikes)),
+        sigma_action=tuple(t_inv @ lam @ t for lam in ma.sigma_action),
+    )
+    return ma2, ComoduleMap(base, Comodule.regular(sigma), t_inv @ f.matrix)
 
 
 def _random_invertible(rng, p, n):
@@ -306,6 +327,40 @@ def test_build_h_matches_the_phi_solve_route(corpus, base_seed):
     assert saw_nontrivial
 
 
+def test_build_h_certifies_sigma_in_any_basis(corpus, base_seed, monkeypatch):
+    """Sigma moved by a seeded invertible S, with psi's right factor, f, the
+    grouplikes and lambda_g moved with it: build_h certifies with the same
+    rank and P_1(M), the recheck passes, and every P_g(M), alone and inside
+    comodule_primitives_total, equals the residual oracle.  Off the axes, the
+    grouplikes have non-trivial coordinates in the basis adapted to span(g)."""
+    rng = random.Random(base_seed + 47)
+    inside = []
+    real = field_linalg.AdaptedCoaction.primitives
+    monkeypatch.setattr(
+        field_linalg.AdaptedCoaction, "primitives", lambda self, g: inside.append(real(self, g)) or inside[-1]
+    )
+    # sigma_level2_id is left out: its Delta turns dense in a random basis.
+    bundles = [b for b in _certified_bundles(corpus) if b.coalgebra.dim <= 12]
+    bundles += [gen_binomial_truncation(3, 9), gen_group_algebra(3, 3)]
+    off_axes = 0
+    for b in bundles:
+        ma, f = b.comodule_algebra, b.splitting_map
+        cert = build_h(ma, f)
+        for _ in range(5):
+            ma2, f2 = _sigma_in_basis(ma, f, _random_invertible(rng, ma.p, ma.sigma.dim))
+            off_axes += any(sum(map(bool, g)) > 1 for g in ma2.grouplikes)
+            cert2 = build_h(ma2, f2)
+            assert cert2.certified, b.name
+            assert (cert2.rank, cert2.p1_basis) == (cert.rank, cert.p1_basis), b.name
+            assert recheck_certificate(cert2, ma2, f2).ok, b.name
+            expected = [primitives_by_residual(ma2.base, g) for g in ma2.grouplikes]
+            assert [comodule_primitives_at(ma2.base, g) for g in ma2.grouplikes] == expected, b.name
+            inside.clear()
+            comodule_primitives_total(ma2.base, ma2.grouplikes)
+            assert inside == expected, b.name
+    assert off_axes >= 4 * len(bundles)
+
+
 def test_phi_inverse_rejects_singular_action(corpus):
     bundles = {b.name: b for b in corpus}
     ma = bundles["sigma_level0_id"].comodule_algebra
@@ -337,38 +392,59 @@ def test_phi_inverse_rejects_an_image_off_the_primitives(corpus, base_seed):
 
 
 def test_build_h_computes_each_layer_once(corpus, monkeypatch):
-    """One build_h sums the primitives once and inverts each action once;
-    a recheck needs neither."""
+    """One build_h sums the primitives once, reads them off one rewrite of
+    psi, and tests each action's rank once without inverting it; a recheck
+    needs neither.  Comodule keeps no memo of its primitives."""
+    import comodule_splitter.comodule as comodule
     import comodule_splitter.splitting as splitting
 
     ma = {b.name: b for b in corpus}["extended_a2_level1"].comodule_algebra
     f = {b.name: b for b in corpus}["extended_a2_level1"].splitting_map
     assert len({id(a) for a in ma.action}) == len(ma.action) > 1
+    assert not hasattr(comodule.Comodule, "_primitives")
     totals = []
+    rewrites = []
+    ranked = []
     inverted = []
     real_total = splitting.comodule_primitives_total
+    real_rank = FieldMatrix.rank
     real_inverse = FieldMatrix.inverse
 
+    class CountingAdaptedCoaction(comodule.AdaptedCoaction):
+        def __init__(self, *args):
+            rewrites.append(args)
+            super().__init__(*args)
+
     def counting_total(*args):
-        totals.append(args)
-        return real_total(*args)
+        before = len(rewrites)
+        result = real_total(*args)
+        totals.append(len(rewrites) - before)
+        return result
+
+    def counting_rank(self):
+        ranked.append(self)
+        return real_rank(self)
 
     def counting_inverse(self):
         inverted.append(self)
         return real_inverse(self)
 
+    monkeypatch.setattr(comodule, "AdaptedCoaction", CountingAdaptedCoaction)
     monkeypatch.setattr(splitting, "comodule_primitives_total", counting_total)
+    monkeypatch.setattr(FieldMatrix, "rank", counting_rank)
     monkeypatch.setattr(FieldMatrix, "inverse", counting_inverse)
     cert = build_h(ma, f)
     assert cert.certified
-    assert len(totals) == 1
-    assert [sum(1 for m in inverted if m is a) for a in ma.action] == [1] * len(ma.action)
+    assert totals == [1]
+    assert [sum(1 for m in ranked if m is a) for a in ma.action] == [1] * len(ma.action)
+    assert not any(m is a for m in inverted for a in ma.action)
 
     totals.clear()
+    ranked.clear()
     inverted.clear()
     assert recheck_certificate(cert, ma, f).ok
     assert totals == []
-    assert not any(m is a for m in inverted for a in ma.action)
+    assert not any(m is a for m in ranked + inverted for a in ma.action)
 
 
 def test_split_and_certify_build_no_tensor_sum():
