@@ -363,12 +363,19 @@ def _coradical_span(c: Coalgebra, g: GroupLikeSet) -> Subspace:
     if g.p != c.p or g.ambient_dim != c.dim:
         raise ShapeError("grouplike set does not match the coalgebra")
     r = g.span()
-    # R (x) R = (C (x) R) meet (R (x) C), and Delta lands in R (x) C exactly
-    # when Delta with its two factors swapped lands in C (x) R.
-    basis = (r.quotient_matrix().transpose(), (0,))
-    swapped = tuple(tuple((k, j, x) for j, k, x in t) for t in c.delta)
-    for triples in (c.delta, swapped):
-        if not AdaptedCoaction(triples, c.dim, *basis).preimage(0).contains_subspace(r):
+    # R (x) R is the kernel of both q_R (x) id and id (x) q_R, so R is
+    # closed under Delta exactly when both vanish on Delta of a basis of R.
+    p, q = c.p, r.quotient_matrix().sparse_cols()
+    for v in r.basis_vectors():
+        left: dict[tuple[int, int], int] = {}
+        right: dict[tuple[int, int], int] = {}
+        for i, x in enumerate(v):
+            for a, k, y in c.delta[i] if x else ():
+                for s, z in q[a].items():
+                    left[s, k] = left.get((s, k), 0) + x * y * z
+                for s, z in q[k].items():
+                    right[a, s] = right.get((a, s), 0) + x * y * z
+        if any(x % p for x in left.values()) or any(x % p for x in right.values()):
             raise NotASubcoalgebra("span of the given vectors is not closed under Delta")
     return r
 
@@ -381,8 +388,8 @@ def coradical_filtration_wedge(
     """Socle filtration by the wedge recursion F_n = Delta^{-1}(C (x) F_{n-1} + F_0 (x) C).
 
     That sum is the kernel of q_{F_0} (x) q_{F_{n-1}}.  So q_{F_0} (x) id is
-    applied to the Delta triples once, and each level is the one-level
-    ``AdaptedCoaction`` preimage of those triples with the right factor in
+    applied to the Delta triples once, and each level is level 0 of the
+    ``AdaptedCoaction`` layers of those triples with the right factor in
     the quotient coordinates of F_{n-1}.  The levels are nested by
     construction, so no staircase shape is proved for them.
     """
@@ -397,7 +404,7 @@ def coradical_filtration_wedge(
     stabilized = r.is_full()
     while not stabilized and (k_max is None or len(levels) - 1 < k_max):
         coords = levels[-1].quotient_matrix().transpose()
-        nxt = AdaptedCoaction(left, width, coords, (0,)).preimage(0)
+        nxt = AdaptedCoaction(left, width, coords, (0,)).layers()[0]
         if nxt == levels[-1]:
             stabilized = True
             break

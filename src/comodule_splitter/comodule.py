@@ -12,11 +12,11 @@ products against small left comodules, and the star-surjectivity report
 that gates the splitting engine.  The filtration, both sides of the
 graded primitives and every P_g(M) are read off an ``AdaptedCoaction``:
 psi (or Delta) rewritten once with its Sigma factor in a basis adapted to
-a filtration of Sigma, where every level is a kernel of shifted and masked
-columns and P_g(M) the kernel of the columns less v (x) g.  The star check
-rewrites psi and Delta once each for all its levels; the total primitives
-rewrite psi once, in a basis adapted to span(g), for every P_g(M) and F_0(M).
-No tensor sum, psi matrix or staircase proof is built for any of them.
+a filtration of Sigma, where one elimination gives every level and P_g(M)
+is the kernel of the columns less v (x) g.  The star check rewrites psi and
+Delta once each for all its levels, and the splitting engine reads P_w(M),
+every P_g(M) and F_0(M) off the star's rewrite of psi.  No tensor sum, psi
+matrix or staircase proof is built for any of them.
 
 Every check that a matrix intertwines two coactions is one call of
 ``coalgebra._coaction_residual``: the map residual, coassociativity (psi
@@ -353,11 +353,11 @@ def validate_comodule_algebra(ma: ComoduleAlgebra) -> ValidationReport:
             checks.append(CheckResult("action_table_is_group", latin))
 
     if w_idx is not None:
-        w = ma.grouplikes.vectors[w_idx]
-        p1 = comodule_primitives_at(ma.base, w)
+        sweep = _standard_sweep(ma.base)
+        p1 = comodule_primitives_at(ma.base, ma.grouplikes.vectors[w_idx], sweep)
         witness = None
         for idx, g in enumerate(ma.grouplikes):
-            pg = comodule_primitives_at(ma.base, g)
+            pg = p1 if idx == w_idx else comodule_primitives_at(ma.base, g, sweep)
             if not pg.contains_subspace(image(ma.action[idx], p1)):
                 witness = f"grouplike {idx}"
                 break
@@ -374,46 +374,55 @@ def comodule_filtration(m: Comodule, f: Filtration) -> Filtration:
     read off one rewrite of psi in a basis adapted to the levels."""
     if f.p != m.p or f.ambient_dim != m.over.dim:
         raise ShapeError("filtration does not live on the over-coalgebra")
-    sweep = AdaptedCoaction(m.psi, m.dim, *adapted_basis(f.levels))
     levels = []
-    for k in range(f.top + 1):
-        levels.append(sweep.preimage(k))
-        if levels[-1].is_full():
+    for level in AdaptedCoaction(m.psi, m.dim, *adapted_basis(f.levels)).layers()[: f.top + 1]:
+        levels.append(level)
+        if level.is_full():
             break
     stabilized = f.stabilized or levels[-1].is_full()
     return Filtration.build(m.p, m.dim, levels, stabilized)
 
 
-def comodule_primitives_at(m: Comodule, g: Vector) -> Subspace:
-    """P_g(M) = kernel of v -> psi(v) - v (x) g, read off psi with its Sigma
-    factor in the standard coordinates, which need no inverse."""
+def _standard_sweep(m: Comodule) -> AdaptedCoaction:
+    """psi with its Sigma factor in the standard coordinates, which need no
+    inverse."""
+    n = m.over.dim
+    return AdaptedCoaction(m.psi, m.dim, FieldMatrix.identity(m.p, n), (n,))
+
+
+def comodule_primitives_at(m: Comodule, g: Vector, sweep: AdaptedCoaction | None = None) -> Subspace:
+    """P_g(M) = kernel of v -> psi(v) - v (x) g, read off ``sweep``, psi
+    rewritten in any coordinates of Sigma such as the star check's source
+    sweep, or else off psi in the standard coordinates."""
     if not is_grouplike(m.over, g):
         raise NotGrouplike(f"{list(g)} is not grouplike")
-    n = m.over.dim
-    return AdaptedCoaction(m.psi, m.dim, FieldMatrix.identity(m.p, n), (n,)).primitives(g)
+    return (_standard_sweep(m) if sweep is None else sweep).primitives(g)
 
 
 def comodule_primitives_total(
-    m: Comodule, g: GroupLikeSet
+    m: Comodule, g: GroupLikeSet, sweep: AdaptedCoaction | None = None
 ) -> tuple[Subspace, PrimitivesReport]:
     """P(M) = sum of the P_g(M), certified direct and equal to F_0(M).
 
-    Every P_g(M) and F_0(M) are read off one rewrite of psi in a basis
-    adapted to span(g).  Raises DecompositionFails when the certificate does
-    not hold; on valid input that cannot happen, so a raise flags a broken
-    comodule.
+    Every P_g(M) and F_0(M) are read off one rewrite of psi in a basis of
+    Sigma whose first level is span(g): ``sweep`` when given, such as the
+    star check's source sweep, whose basis is adapted to the wedge
+    filtration, and otherwise a rewrite made here.  Raises
+    DecompositionFails when the certificate does not hold; on valid input
+    that cannot happen, so a raise flags a broken comodule.
     """
     for vec in g:
         if not is_grouplike(m.over, vec):
             raise NotGrouplike(f"{list(vec)} is not grouplike")
-    sweep = AdaptedCoaction(m.psi, m.dim, *adapted_basis([g.span()]))
+    if sweep is None:
+        sweep = AdaptedCoaction(m.psi, m.dim, *adapted_basis([g.span()]))
     total = Subspace.zero(m.p, m.dim)
     dims = []
     for vec in g:
         pg = sweep.primitives(vec)
         dims.append(pg.dim)
         total = total.add(pg)
-    f0 = sweep.preimage(0)
+    f0 = sweep.layers()[0]
     report = PrimitivesReport(
         total_dim=total.dim,
         per_grouplike_dims=tuple(dims),
@@ -472,6 +481,16 @@ def check_star_surjective(
     measured modulo the previous filtration level; ``strict`` demands
     on-the-nose surjectivity of subspaces instead.
     """
+    return _star(ma, f, strict, sigma_filt)[0]
+
+
+def _star(
+    ma: ComoduleAlgebra, f: ComoduleMap, strict: bool, sigma_filt: Filtration | None = None
+) -> tuple[StarReport, AdaptedCoaction]:
+    """The star report and its source sweep: psi rewritten in a basis of
+    Sigma adapted to ``sigma_filt``, by default the wedge filtration, whose
+    level 0 is span(g).  The splitting engine reads P_w(M), every P_g(M) and
+    F_0(M) off that sweep, so a run rewrites psi once."""
     sigma = ma.sigma
     if not f.source.same_structure(ma.base):
         raise StructureMismatch("map source is not the comodule algebra's underlying comodule")
@@ -496,15 +515,15 @@ def check_star_surjective(
             for idx in range(len(ma.grouplikes))
         )
 
-    # Both sides of every level, from one rewrite of psi and one of Delta in
-    # a basis of Sigma adapted to the filtration.
+    # Both sides of every level, each from one rewrite, of psi and of Delta,
+    # in a basis of Sigma adapted to the filtration, and one elimination.
     basis = adapted_basis(sigma_filt.levels)
     source_sweep = AdaptedCoaction(ma.base.psi, ma.dim, *basis)
-    target_sweep = AdaptedCoaction(sigma.delta, sigma.dim, *basis)
+    sources = source_sweep.layers(ma.unit)
+    targets = AdaptedCoaction(sigma.delta, sigma.dim, *basis).layers(w)
     levels = []
     for k in range(sigma_filt.top + 1):
-        source = source_sweep.preimage(k, ma.unit)
-        target = target_sweep.preimage(k, w)
+        source, target = sources[k], targets[k]
         img = image(f.matrix, source)
         if strict:
             ok = img.contains_subspace(target)
@@ -515,7 +534,7 @@ def check_star_surjective(
             ok = img.add(sigma_filt.level(k - 1)).contains_subspace(target)
         levels.append(StarLevelResult(level=k, ok=ok, source_dim=source.dim, target_dim=target.dim))
 
-    return StarReport(
+    report = StarReport(
         rank=rank,
         target_dim=sigma.dim,
         surjective=surjective,
@@ -524,3 +543,4 @@ def check_star_surjective(
         strict=strict,
         levels=tuple(levels),
     )
+    return report, source_sweep

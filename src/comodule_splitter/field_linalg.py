@@ -23,11 +23,13 @@ eliminates augmented rows [a | b], which ``_join`` and ``_right`` build and
 split: those two helpers are the only place where the augmented layout
 depends on p.  ``inverse`` is ``solve`` against the identity, ``image`` is a
 product with the transpose, and ``kernel_from_sparse_cols`` is the one
-kernel routine.  ``AdaptedCoaction.preimage`` is the one preimage of a
-tensor sum: it reads every filtration layer, the wedge levels included, off
-the coaction triples, and no tensor sum is built; ``primitives`` reads each
-P_g off the same rewrite.  Only this module reads the internal row format,
-apart from the bitmask grouplike search in ``coalgebra``.
+kernel routine; given row bounds, it returns the nested kernels of one
+elimination.  ``AdaptedCoaction.layers`` is the one preimage of a tensor
+sum: it reads every level of a filtration layer, the wedge levels
+included, off the coaction triples in one elimination, and no tensor sum
+is built; ``primitives`` reads each P_g off the same rewrite.  Only this
+module reads the internal row format, apart from the bitmask grouplike
+search in ``coalgebra``.
 
 Tensor index convention used by the whole package: the basis vector
 e_i (x) e_j of F^m (x) F^n sits at position i * n + j.  ``FieldMatrix.kron``
@@ -520,7 +522,9 @@ class FieldMatrix:
         return inv
 
 
-def kernel_from_sparse_cols(p: int, ncols: int, cols: Sequence) -> "Subspace":
+def kernel_from_sparse_cols(
+    p: int, ncols: int, cols: Sequence, bounds: Sequence[int] | None = None
+) -> "Subspace | tuple[Subspace, ...]":
     """The kernel {v : sum_j v_j cols[j] = 0} as a canonical subspace of F^ncols.
 
     This is the package's one kernel routine.  A column is a dict
@@ -531,10 +535,18 @@ def kernel_from_sparse_cols(p: int, ncols: int, cols: Sequence) -> "Subspace":
     columns keyed by their lowest row, recording the same operations on a
     coefficient vector; a column that reduces to zero gives a kernel vector,
     and the kernel vectors are echelonized once at the end.
+
+    With ``bounds``, row indices that do not increase, it returns instead
+    one subspace per bound b, {v : sum_j v_j cols[j] is zero at every row
+    below b}, all from the same elimination.  Each stored column is the
+    combination of the input columns given by its recorded vector, and the
+    stored columns have distinct lowest rows.  So a combination of them is
+    zero below b exactly when it uses only those whose lowest row is at
+    least b, and the subspace for b is the kernel plus their vectors.
     """
     kernel: list = []
     if p == 2:
-        table: dict[int, tuple[int, int]] = {}
+        table: dict[int, tuple] = {}
         for j, c in enumerate(cols):
             if not isinstance(c, int):
                 c = _pack_sparse(c)
@@ -549,24 +561,37 @@ def kernel_from_sparse_cols(p: int, ncols: int, cols: Sequence) -> "Subspace":
                 a ^= hit[1]
             else:
                 kernel.append(a)
-        return Subspace._raw(2, ncols, *_echelon(2, kernel))
-    # Stored columns keep their lead; the inverse of the lead scales each use.
-    dtable: dict[int, tuple[dict[int, int], dict[int, int], int]] = {}
-    for j, col in enumerate(cols):
-        c = {k: y for k, x in col.items() if (y := x % p)}
-        a = {j: 1}
-        while c:
-            lead = min(c)
-            hit = dtable.get(lead)
-            if hit is None:
-                dtable[lead] = (c, a, pow(c[lead], -1, p))
-                break
-            f = (p - c[lead]) * hit[2] % p
-            _add_multiple(p, c, f, hit[0])
-            _add_multiple(p, a, f, hit[1])
-        else:
-            kernel.append(a)
-    return Subspace._raw(p, ncols, *_echelon(p, kernel))
+    else:
+        # Stored columns keep their lead; the inverse of the lead scales each use.
+        table = {}
+        for j, col in enumerate(cols):
+            c = {k: y for k, x in col.items() if (y := x % p)}
+            a = {j: 1}
+            while c:
+                lead = min(c)
+                hit = table.get(lead)
+                if hit is None:
+                    table[lead] = (c, a, pow(c[lead], -1, p))
+                    break
+                f = (p - c[lead]) * hit[2] % p
+                _add_multiple(p, c, f, hit[0])
+                _add_multiple(p, a, f, hit[1])
+            else:
+                kernel.append(a)
+    level = Subspace._raw(p, ncols, *_echelon(p, kernel))
+    if bounds is None:
+        return level
+    leads = sorted(table, reverse=True)
+    levels, used = [], 0
+    for b in bounds:
+        start = used
+        while used < len(leads) and leads[used] >= b:
+            used += 1
+        if used > start:
+            new = [table[lead][1] for lead in leads[start:used]]
+            level = Subspace._raw(p, ncols, *_echelon(p, level._rows + tuple(new)))
+        levels.append(level)
+    return tuple(levels)
 
 
 class Subspace:
@@ -754,9 +779,10 @@ class AdaptedCoaction:
     triples must lie in range, as those of ``Comodule.psi`` and
     ``Coalgebra.delta`` do.  Column i holds psi(e_i) with the component at
     e_a (x) b_j at index j * left_dim + a: over F_2 as a packed int, over
-    odd p as a dict.  Every preimage of a filtration layer is then a kernel
-    of shifted and masked columns, and every primitive layer a kernel of
-    the columns less one line each, with no tensor sum or staircase proof.
+    odd p as a dict.  All levels of a filtration layer are then the nested
+    kernels of one elimination of the columns with their components
+    reordered, and every primitive layer a kernel of the columns less one
+    line each, with no tensor sum or staircase proof.
     """
 
     def __init__(self, coaction, left_dim: int, coords: FieldMatrix, dims: Sequence[int]):
@@ -791,58 +817,94 @@ class AdaptedCoaction:
                 cols.append({key: y for key, x in col.items() if (y := x % p)})
         self._cols = cols
 
-    def _dim(self, k: int) -> int:
-        """d_k, with d_{-1} = 0 and d_k = d_top beyond the top."""
-        return 0 if k < 0 else self.dims[min(k, len(self.dims) - 1)]
+    def layers(self, unit: Vector | None = None) -> tuple[Subspace, ...]:
+        """Every level k = 0..top+1 from one elimination: {v : psi(v) in
+        F^L (x) F_k} without a unit, and with one the graded level
+        {v : psi(v) in F^L (x) F_{k-1} + unit (x) F_k}, with F_{-1} = 0.  At
+        top+1 only the components past d_top must vanish: that is F_top
+        again without a unit, and F^L (x) F_top with one.
 
-    def preimage(self, k: int, unit: Vector | None = None) -> Subspace:
-        """{v : psi(v) in F^L (x) F_k} without a unit; with one, the graded
-        layer {v : psi(v) in F^L (x) F_{k-1} + unit (x) F_k}.
-
-        In B-coordinates the first is the kernel of every component at
-        j >= d_k.  The second is the kernel of the components at j >= d_k
-        together with those at d_{k-1} <= j < d_k taken modulo the unit line:
-        each such block is reduced by its entry at the unit's leading index.
-        A zero unit spans no line, so then that band must vanish outright.
+        In B-coordinates level k is the kernel of the components of weight
+        above k.  The component at e_a (x) b_j weighs the least k with
+        j < d_k, and top+2 past d_top.  A unit u is first made the
+        coordinate at its leading index l, each block x becoming x_a -
+        (u_a / u_l) x_l off l, so that a block lies in span(u) exactly when
+        it vanishes off l; then the components off l weigh one more.  A
+        zero unit spans no line, so then every component weighs one more.
+        The components are laid out heaviest first, so those of weight
+        above k are the rows below one bound, and ``kernel_from_sparse_cols``
+        returns every level from one elimination.
         """
-        p, width = self.p, self.left_dim
-        lo = self._dim(k if unit is None else k - 1)
-        hi = self._dim(k)
+        p, width, dims = self.p, self.left_dim, self.dims
+        top, n = len(dims) - 1, self.coords.ncols
         lead = None if unit is None else next((a for a, x in enumerate(unit) if x % p), None)
-        shift = lo * width
-        if lead is None or hi == lo:
-            if not shift:
-                cols = self._cols
-            elif p == 2:
-                cols = [c >> shift for c in self._cols]
+        # Pieces (lo, hi, part, weight): the blocks of the Sigma coordinates
+        # lo <= j < hi, whole (part None), or only at (True) or off (False)
+        # the unit's leading index.  Each moves as a whole, heaviest first.
+        pieces = [(dims[top], n, None, top + 2)]
+        for k in range(top + 1):
+            lo, hi = dims[k - 1] if k else 0, dims[k]
+            if lead is None:
+                pieces.append((lo, hi, None, k + (unit is not None)))
             else:
-                cols = [{key - shift: x for key, x in c.items() if key >= shift} for c in self._cols]
+                pieces += [(lo, hi, True, k), (lo, hi, False, k + 1)]
+        pieces = sorted((pc for pc in pieces if pc[1] > pc[0]), key=lambda pc: -pc[3])
+        shifts, offset = [], 0
+        for lo, hi, _, _ in pieces:
+            shifts.append(offset - lo * width)
+            offset += (hi - lo) * width
+        bounds = [sum((hi - lo) * width for lo, hi, _, w in pieces if w > k) for k in range(top + 2)]
+        others = [] if lead is None else [(a, x) for a, x in enumerate(unit) if x % p and a != lead]
+        if not others and not any(shifts):
+            cols = self._cols
         elif p == 2:
-            sel = sum(1 << (j * width + lead) for j in range(lo, hi))
-            support = [a for a, x in enumerate(unit) if x & 1]
+            plan = []
+            for (lo, hi, part, _), shift in zip(pieces, shifts):
+                mask = (1 << (hi * width)) - (1 << (lo * width)) if hi < n else -(1 << (lo * width))
+                if part is not None:
+                    line = sum(1 << (j * width + lead) for j in range(lo, hi))
+                    mask &= line if part else ~line
+                plan.append((mask, shift))
+            sel = sum(1 << (j * width + lead) for j in range(dims[top])) if others else 0
             cols = []
             for c in self._cols:
-                t = (c & sel) >> lead
-                for a in support:
+                t = (c & sel) >> lead if others else 0
+                for a, _ in others:
                     c ^= t << a
-                cols.append(c >> shift)
+                out = 0
+                for mask, shift in plan:
+                    if piece := c & mask:
+                        out |= piece << shift if shift >= 0 else piece >> -shift
+                cols.append(out)
         else:
-            inv = pow(unit[lead], -1, p)
-            scaled = [(a, x * inv % p) for a, x in enumerate(unit) if x % p]
-            # The band's entries at the unit's leading index, with the shifted
-            # start of their block.
-            band = [(j * width + lead, j * width - shift) for j in range(lo, hi)]
+            # The shift of each block's entries at the leading index and off it.
+            at_lead, off_lead = [0] * n, [0] * n
+            for (lo, hi, part, _), shift in zip(pieces, shifts):
+                for j in range(lo, hi):
+                    if part is not False:
+                        at_lead[j] = shift
+                    if part is not True:
+                        off_lead[j] = shift
+            if others:
+                inv = pow(unit[lead], -1, p)
+                others = [(a, x * inv % p) for a, x in others]
             cols = []
             for c in self._cols:
-                out = {key - shift: x for key, x in c.items() if key >= shift}
+                out, hits = {}, []
+                for key, x in c.items():
+                    j, a = divmod(key, width)
+                    if a != lead:
+                        out[key + off_lead[j]] = x
+                    else:
+                        out[key + at_lead[j]] = x
+                        if others and j < dims[top]:
+                            hits.append((j * width + off_lead[j], x))
                 # kernel_from_sparse_cols reduces the entries mod p.
-                for hit, base in band:
-                    x = c.get(hit)
-                    if x:
-                        for a, y in scaled:
-                            out[base + a] = out.get(base + a, 0) - x * y
+                for base, x in hits:
+                    for a, y in others:
+                        out[base + a] = out.get(base + a, 0) - x * y
                 cols.append(out)
-        return kernel_from_sparse_cols(p, len(self._cols), cols)
+        return kernel_from_sparse_cols(p, len(self._cols), cols, bounds)
 
     def primitives(self, g: Vector) -> Subspace:
         """{v : psi(v) = v (x) g}, the kernel of the columns less e_i (x) g,

@@ -9,9 +9,10 @@ with phi: k[G] (x) P_1(M) -> P(M), g (x) v -> g.v, and r a linear retraction
 of M onto P(M).  A run computes each layer once, in order: the star report,
 the unit grouplike w and P_1(M) = P_w(M), one rank test per action, P(M) as
 the sum of the P_g(M), the check that the columns of phi span P(M), and
-finally h = (t (x) id) psi with t = (eps (x) id) phi^{-1} r.  build_h runs
-all of them; recheck_certificate runs the layers up to P_1(M) and takes h
-from the certificate.
+finally h = (t (x) id) psi with t = (eps (x) id) phi^{-1} r.  Every P_g(M)
+and F_0(M) are read off the star's own rewrite of psi, so a run rewrites psi
+once.  build_h runs all of them; recheck_certificate runs the layers up to
+P_1(M) and takes h from the certificate.
 
 The retraction is pinned down deterministically (extend the echelon basis B
 of P(M) by standard basis vectors, lowest index first), so rebuilding from
@@ -48,7 +49,7 @@ from .coalgebra import _cofree_witness
 from .comodule import (
     ComoduleAlgebra,
     ComoduleMap,
-    check_star_surjective,
+    _star,
     comodule_primitives_at,
     comodule_primitives_total,
 )
@@ -58,7 +59,7 @@ from .errors import (
     DimensionMismatch,
     HypothesisNotMet,
 )
-from .field_linalg import FieldMatrix, Subspace
+from .field_linalg import AdaptedCoaction, FieldMatrix, Subspace
 from .reporting import (
     CheckResult,
     CorpusItemResult,
@@ -82,10 +83,11 @@ def _trailing_pivots(s: Subspace) -> FieldMatrix:
     )
 
 
-def _p1(ma: ComoduleAlgebra) -> Subspace:
-    """P_1(M) = P_w(M) for the unit grouplike w; the star check has already
-    refused a unit that is not coinvariant."""
-    return comodule_primitives_at(ma.base, ma.grouplikes.vectors[ma.unit_grouplike_index()])
+def _p1(ma: ComoduleAlgebra, sweep: AdaptedCoaction) -> Subspace:
+    """P_1(M) = P_w(M) for the unit grouplike w, read off the star's source
+    sweep; the star check has already refused a unit that is not
+    coinvariant."""
+    return comodule_primitives_at(ma.base, ma.grouplikes.vectors[ma.unit_grouplike_index()], sweep)
 
 
 @dataclass(frozen=True)
@@ -127,10 +129,11 @@ class SplittingCertificate:
         return "{" + ",".join(f'"{key}":{texts[key]}' for key in sorted(texts)) + "}"
 
 
-def _assemble_h(ma: ComoduleAlgebra, p1: Subspace) -> FieldMatrix:
+def _assemble_h(ma: ComoduleAlgebra, p1: Subspace, sweep: AdaptedCoaction) -> FieldMatrix:
     """The layers after P_1(M), each once: check that every action has full
-    rank, sum the P_g(M) into P(M), check that the columns of phi span P(M),
-    and apply (t (x) id) psi with t = (eps (x) id) (S_D phi)^-1 S_D."""
+    rank, sum the P_g(M) into P(M) off the star's source sweep, check that
+    the columns of phi span P(M), and apply (t (x) id) psi with
+    t = (eps (x) id) (S_D phi)^-1 S_D."""
     p = ma.p
     d1 = p1.dim
     if d1 == 0:
@@ -138,7 +141,7 @@ def _assemble_h(ma: ComoduleAlgebra, p1: Subspace) -> FieldMatrix:
     for idx, a in enumerate(ma.action):
         if a.rank() < ma.dim:
             raise ActionNotInvertible(f"action of grouplike {idx} is singular")
-    total, _ = comodule_primitives_total(ma.base, ma.grouplikes)
+    total, _ = comodule_primitives_total(ma.base, ma.grouplikes, sweep)
     basis = p1.basis_vectors()
     ph = FieldMatrix.from_cols(p, [a.matvec(b) for a in ma.action for b in basis], nrows=ma.dim)
     expected = len(ma.grouplikes) * d1
@@ -193,15 +196,15 @@ def build_h(
     hypothesis holds; that contradicts the theorem, so treat it as an alarm,
     not an input error.
     """
-    star = check_star_surjective(ma, f, strict=strict)
+    star, sweep = _star(ma, f, strict)
     if not star.ok and not force:
         raise HypothesisNotMet(star)
-    p1 = _p1(ma)
+    p1 = _p1(ma, sweep)
     if star.ok and p1.dim * ma.sigma.dim != ma.dim:
         raise DimensionMismatch(
             f"dim M = {ma.dim} but dim P_1(M) * dim Sigma = {p1.dim * ma.sigma.dim}"
         )
-    h = _assemble_h(ma, p1)
+    h = _assemble_h(ma, p1, sweep)
     return SplittingCertificate(
         h_matrix=h,
         p1_basis=p1,
@@ -222,7 +225,7 @@ def recheck_certificate(
     the residual are all recomputed, and the stored values must match.
     """
     checks = []
-    star = check_star_surjective(ma, f, strict=cert.star_report.strict)
+    star, sweep = _star(ma, f, cert.star_report.strict)
     stored = report_json(cert.star_report)
     mismatch = next(
         (
@@ -246,7 +249,7 @@ def recheck_certificate(
     fields = None
     if cert.h_matrix.p != ma.p:
         fields = f"certificate over F_{cert.h_matrix.p}, inputs over F_{ma.p}"
-    p1 = _p1(ma)
+    p1 = _p1(ma, sweep)
     p1_witness = None
     if p1 != cert.p1_basis:
         p1_witness = f"recomputed dim {p1.dim}, stored dim {cert.p1_basis.dim}"

@@ -88,10 +88,10 @@ def _graded_left_primitives(
     ma: ComoduleAlgebra, k: int, sigma_filt: Filtration | None = None
 ) -> Subspace:
     """{v in M : psi(v) in eta (x) F_k + M (x) F_{k-1}}, with F_{-1} = 0: one
-    preimage of the sweep that the star check builds on its source side."""
+    layer of the sweep that the star check builds on its source side."""
     if sigma_filt is None:
         sigma_filt = coradical_filtration_wedge(ma.sigma, ma.grouplikes)
-    return AdaptedCoaction(ma.base.psi, ma.dim, *adapted_basis(sigma_filt.levels)).preimage(k, ma.unit)
+    return AdaptedCoaction(ma.base.psi, ma.dim, *adapted_basis(sigma_filt.levels)).layers(ma.unit)[k]
 
 
 def _replace(ma: ComoduleAlgebra, **kw) -> ComoduleAlgebra:
@@ -638,13 +638,13 @@ def test_staircase_preimages_match_the_literal_route(corpus, base_seed):
         assert total == f0_m and report.f0_dim == f0_m.dim
         w = ma.grouplikes.vectors[ma.unit_grouplike_index()]
         eta, w_line = Subspace(p, m.dim, [ma.unit]), Subspace(p, sigma.dim, [w])
-        sigma_sweep = AdaptedCoaction(sigma.delta, sigma.dim, *adapted_basis(filt.levels))
+        sigma_layers = AdaptedCoaction(sigma.delta, sigma.dim, *adapted_basis(filt.levels)).layers(w)
         for k in range(filt.top + 1):
             below, at = filt.level(k - 1), filt.level(k)
             assert _graded_left_primitives(ma, k, filt) == _literal_preimage(
                 psi, [(full_m, below), (eta, at)]
             )
-            assert sigma_sweep.preimage(k, w) == _literal_preimage(
+            assert sigma_layers[k] == _literal_preimage(
                 delta, [(full_s, below), (w_line, at)]
             )
 
@@ -683,11 +683,14 @@ def _assert_sweep_matches_staircase(coaction, left_dim, filt, units):
     p = filt.p
     full = Subspace.full(p, left_dim)
     sweep = AdaptedCoaction(coaction, left_dim, *adapted_basis(filt.levels))
+    plain = sweep.layers()
+    assert len(plain) == filt.top + 2
+    graded = {u: sweep.layers(u) for u in units}
     for k in range(filt.top + 2):
-        assert sweep.preimage(k) == staircase_preimage([(full, filt.level(k))], coaction), k
+        assert plain[k] == staircase_preimage([(full, filt.level(k))], coaction), k
         for u in units:
             terms = [(full, filt.level(k - 1)), (Subspace(p, left_dim, [u]), filt.level(k))]
-            assert sweep.preimage(k, u) == staircase_preimage(terms, coaction), (k, u)
+            assert graded[u][k] == staircase_preimage(terms, coaction), (k, u)
 
 
 def _sweep_algebras(corpus):
@@ -733,14 +736,14 @@ def test_graded_views_and_star_read_the_same_sweep(corpus):
         filt = coradical_filtration_wedge(ma.sigma, ma.grouplikes)
         w = ma.grouplikes.vectors[ma.unit_grouplike_index()]
         basis = adapted_basis(filt.levels)
-        source = AdaptedCoaction(ma.base.psi, ma.dim, *basis)
-        target = AdaptedCoaction(ma.sigma.delta, ma.sigma.dim, *basis)
+        source = AdaptedCoaction(ma.base.psi, ma.dim, *basis).layers(ma.unit)
+        target = AdaptedCoaction(ma.sigma.delta, ma.sigma.dim, *basis).layers(w)
         f = ComoduleMap(ma.base, Comodule.regular(ma.sigma), FieldMatrix.zeros(ma.p, ma.sigma.dim, ma.dim))
         levels = check_star_surjective(ma, f, sigma_filt=filt).levels
         for k in range(filt.top + 1):
-            assert _graded_left_primitives(ma, k, filt) == source.preimage(k, ma.unit)
-            assert levels[k].source_dim == source.preimage(k, ma.unit).dim
-            assert levels[k].target_dim == target.preimage(k, w).dim
+            assert _graded_left_primitives(ma, k, filt) == source[k]
+            assert levels[k].source_dim == source[k].dim
+            assert levels[k].target_dim == target[k].dim
 
 
 def test_f2_rewrite_matches_the_per_triple_spread(base_seed):
@@ -808,12 +811,12 @@ def test_star_levels_match_the_literal_coverage_test(base_seed):
             for e in FieldMatrix.identity(p, ma.dim).rows_as_lists()
         ]
         for filt in (coradical_filtration_wedge(ma.sigma, ma.grouplikes), nested):
-            sweep = AdaptedCoaction(ma.sigma.delta, n, *adapted_basis(filt.levels))
+            targets = AdaptedCoaction(ma.sigma.delta, n, *adapted_basis(filt.levels)).layers(w)
             for f in maps:
                 report = check_star_surjective(ma, f, sigma_filt=filt)
                 strict = check_star_surjective(ma, f, strict=True, sigma_filt=filt)
                 for k, result in enumerate(report.levels):
-                    target = sweep.preimage(k, w)
+                    target = targets[k]
                     img = image(f.matrix, _graded_left_primitives(ma, k, filt))
                     below = filt.level(k - 1)
                     outside += not target.contains_subspace(below)

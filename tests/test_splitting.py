@@ -31,7 +31,8 @@ from comodule_splitter import (
     verify_theorem_on_corpus,
 )
 from comodule_splitter import field_linalg
-from comodule_splitter.coalgebra import GroupLikeSet, change_basis
+from comodule_splitter.field_linalg import AdaptedCoaction, adapted_basis
+from comodule_splitter.coalgebra import Filtration, GroupLikeSet, change_basis, coradical_filtration_wedge
 from comodule_splitter.definitions import load_certificate
 from comodule_splitter.reporting import CheckResult, report_json
 from comodule_splitter.generators import (
@@ -47,9 +48,12 @@ from oracles import (
     cofree,
     greedy_retraction,
     h_by_phi_solve,
+    preimage,
     primitives_by_residual,
     psi_matrix,
     residual_witness_by_cofree,
+    staircase_preimage,
+    staircase_sum,
 )
 
 EXPECTED_RANKS = {
@@ -392,9 +396,10 @@ def test_phi_inverse_rejects_an_image_off_the_primitives(corpus, base_seed):
 
 
 def test_build_h_computes_each_layer_once(corpus, monkeypatch):
-    """One build_h sums the primitives once, reads them off one rewrite of
-    psi, and tests each action's rank once without inverting it; a recheck
-    needs neither.  Comodule keeps no memo of its primitives."""
+    """One build_h rewrites psi and Delta once each, in the star check,
+    sums the primitives once off the star's rewrite of psi, and tests each
+    action's rank once without inverting it; a recheck makes the same two
+    rewrites and needs neither.  Comodule keeps no memo of its primitives."""
     import comodule_splitter.comodule as comodule
     import comodule_splitter.splitting as splitting
 
@@ -435,14 +440,17 @@ def test_build_h_computes_each_layer_once(corpus, monkeypatch):
     monkeypatch.setattr(FieldMatrix, "inverse", counting_inverse)
     cert = build_h(ma, f)
     assert cert.certified
-    assert totals == [1]
+    assert [args[0] for args in rewrites] == [ma.base.psi, ma.sigma.delta]
+    assert totals == [0]
     assert [sum(1 for m in ranked if m is a) for a in ma.action] == [1] * len(ma.action)
     assert not any(m is a for m in inverted for a in ma.action)
 
     totals.clear()
+    rewrites.clear()
     ranked.clear()
     inverted.clear()
     assert recheck_certificate(cert, ma, f).ok
+    assert [args[0] for args in rewrites] == [ma.base.psi, ma.sigma.delta]
     assert totals == []
     assert not any(m is a for m in ranked + inverted for a in ma.action)
 
@@ -464,6 +472,57 @@ def test_split_and_certify_build_no_tensor_sum():
         cert = build_h(ma, f)
         assert cert.certified
         assert recheck_certificate(cert, ma, f).ok
+
+
+def test_layers_match_the_staircase_and_literal_routes(base_seed):
+    """AdaptedCoaction.layers equals staircase_preimage and the literal
+    preimage of the built-out tensor sum at every level k = 0..top+1, on psi
+    and on Delta, over F_2, F_3 and F_5.  Units: none, a zero unit, the unit
+    and grouplike of each bundle, and the unit of each bundle conjugated by
+    a seeded invertible matrix, which has several nonzero entries and, over
+    odd p, a leading entry other than 1.  Filtrations: the wedge filtration
+    and random nested ones with d_top < dim Sigma, whose components past
+    d_top must vanish at every level, top+1 included."""
+    rng = random.Random(base_seed + 83)
+    several = scaled = short = 0
+    for bundle in (gen_binomial_truncation(2, 8), gen_binomial_truncation(3, 9), gen_binomial_truncation(5, 5)):
+        ma, f = bundle.comodule_algebra, bundle.splitting_map
+        p, n = ma.p, ma.sigma.dim
+        conjugated, _ = _conjugate(ma, f, _random_invertible(rng, p, ma.dim))
+        w = ma.grouplikes.vectors[ma.unit_grouplike_index()]
+        vecs = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        nested = Filtration.build(
+            p, n, [Subspace(p, n, vecs[:d]) for d in sorted(rng.sample(range(1, n), 3))], False
+        )
+        filts = (coradical_filtration_wedge(ma.sigma, ma.grouplikes), nested)
+        sides = [
+            (ma.sigma.delta, ma.sigma.delta_matrix(), (None, (0,) * n, w)),
+            *(
+                (m.base.psi, psi_matrix(m.base), (None, (0,) * m.dim, m.unit))
+                for m in (ma, conjugated)
+            ),
+        ]
+        for coaction, matrix, units in sides:
+            left_dim = len(units[1])
+            full = Subspace.full(p, left_dim)
+            for filt in filts:
+                short += filt.level(filt.top).dim < n
+                sweep = AdaptedCoaction(coaction, left_dim, *adapted_basis(filt.levels))
+                for unit in units:
+                    layers = sweep.layers(unit)
+                    assert len(layers) == filt.top + 2
+                    if unit is not None:
+                        lead = next((x for x in unit if x), 0)
+                        several += sum(map(bool, unit)) > 1
+                        scaled += lead > 1
+                    for k in range(filt.top + 2):
+                        if unit is None:
+                            terms = [(full, filt.level(k))]
+                        else:
+                            terms = [(full, filt.level(k - 1)), (Subspace(p, left_dim, [unit]), filt.level(k))]
+                        literal = preimage(matrix, staircase_sum(terms))
+                        assert layers[k] == staircase_preimage(terms, coaction) == literal, (bundle.name, k, unit)
+    assert several > 0 and scaled > 0 and short > 0
 
 
 # -- h assembly and certification ----------------------------------------------------
